@@ -62,12 +62,13 @@ int main() {
 
   api::Report report("ablation_precision");
   const double host_speedup = measured_int8_speedup();
-  std::printf("measured on this host (%s kernel, ViT-Base proj 197x768x768): "
-              "INT8/FP32 = %.2fx — reference point for the analytic columns "
-              "below\n\n",
-              nn::qgemm_isa(), host_speedup);
+  std::printf("measured on this host (int8 %s kernel vs fp32 %s kernel, "
+              "ViT-Base proj 197x768x768): INT8/FP32 = %.2fx — reference "
+              "point for the analytic columns below\n\n",
+              nn::qgemm_isa(), nn::gemm_isa(), host_speedup);
   report.set_meta("host_measured_int8_speedup", core::Json(host_speedup));
   report.set_meta("host_int8_isa", core::Json(std::string(nn::qgemm_isa())));
+  report.set_meta("host_fp32_isa", core::Json(std::string(nn::gemm_isa())));
   const std::vector<platform::Precision> precisions = {
       platform::Precision::kFP32, platform::Precision::kFP16,
       platform::Precision::kINT8};

@@ -3,11 +3,16 @@
 /// (ViT QKV/proj/MLP projections, the im2col-lowered ResNet stages, the
 /// classifier head) and reports achieved GFLOP/s for:
 ///
-///   packed — the current nn::gemm (packed panels, fused epilogue)
+///   packed — the current nn::gemm (packed panels, fused epilogue, the
+///            micro-kernel dispatched for this host's ISA), at one
+///            thread and at omp_get_max_threads()
 ///   legacy — the pre-rework blocked-but-unpacked kernel, compiled into
 ///            this binary verbatim as the baseline the speedup
-///            acceptance is measured against
+///            acceptance is measured against (max threads)
 ///   naive  — triple loop, timed only on small shapes (else estimated)
+///
+/// The report's meta records `gemm_isa` (the dispatched micro-kernel),
+/// so a rate is attributable to the kernel path that produced it.
 ///
 /// The sweep's best sustained rate then feeds `nn::profile_layer_mfu`
 /// over a real ViT graph, so the per-layer MFU table uses a peak that
@@ -158,6 +163,15 @@ double max_abs_diff(const std::vector<float>& a, const std::vector<float>& b) {
   return worst;
 }
 
+/// OpenMP team width for the next parallel regions (no-op without OpenMP).
+void set_threads(int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
+}
+
 /// Time `fn` adaptively: enough repetitions to cross `min_seconds`.
 /// Three independent samples, best taken — interference on a shared
 /// machine only ever slows a sample down, so max GFLOP/s is the robust
@@ -275,10 +289,12 @@ int main(int argc, char** argv) {
 #ifdef _OPENMP
   threads = omp_get_max_threads();
 #endif
-  std::printf("threads: %d   mode: %s\n\n", threads, smoke ? "smoke" : "full");
+  std::printf("threads: %d   isa: %s   mode: %s\n\n", threads, nn::gemm_isa(),
+              smoke ? "smoke" : "full");
 
   api::Report report("BENCH_gemm");
   report.set_meta("threads", core::Json(static_cast<std::int64_t>(threads)));
+  report.set_meta("gemm_isa", core::Json(std::string(nn::gemm_isa())));
   report.set_meta("mode", core::Json(std::string(smoke ? "smoke" : "full")));
 
   // ---- correctness gate (always; the sweep is meaningless if wrong) --
@@ -324,9 +340,11 @@ int main(int argc, char** argv) {
 
   // ---- throughput sweep ---------------------------------------------
   core::TextTable table("GEMM sweep (GFLOP/s)");
-  table.set_header({"layer shape", "M", "N", "K", "packed", "legacy", "naive",
-                    "packed/legacy"});
+  table.set_header({"layer shape", "M", "N", "K", "packed 1t",
+                    "packed " + std::to_string(threads) + "t", "legacy",
+                    "naive", "packed/legacy"});
   double best_gflops = 0.0;
+  double best_gflops_t1 = 0.0;
   for (const SweepShape& s : sweep_shapes()) {
     std::vector<float> a(static_cast<std::size_t>(s.m * s.k));
     std::vector<float> b(static_cast<std::size_t>(s.k * s.n));
@@ -336,9 +354,13 @@ int main(int argc, char** argv) {
     const double flops = 2.0 * static_cast<double>(s.m) *
                          static_cast<double>(s.n) * static_cast<double>(s.k);
 
-    const double packed = time_gflops(flops, min_seconds, [&] {
+    const auto run_packed = [&] {
       nn::gemm(a.data(), b.data(), c.data(), s.m, s.n, s.k);
-    });
+    };
+    set_threads(1);
+    const double packed_t1 = time_gflops(flops, min_seconds, run_packed);
+    set_threads(threads);
+    const double packed = time_gflops(flops, min_seconds, run_packed);
     const double legacy = time_gflops(flops, min_seconds, [&] {
       legacy_gemm(a.data(), b.data(), c.data(), s.m, s.n, s.k);
     });
@@ -350,10 +372,11 @@ int main(int argc, char** argv) {
       });
     }
     best_gflops = std::max(best_gflops, packed);
+    best_gflops_t1 = std::max(best_gflops_t1, packed_t1);
 
     table.add_row({s.layer, std::to_string(s.m), std::to_string(s.n),
-                   std::to_string(s.k), core::format_fixed(packed, 2),
-                   core::format_fixed(legacy, 2),
+                   std::to_string(s.k), core::format_fixed(packed_t1, 2),
+                   core::format_fixed(packed, 2), core::format_fixed(legacy, 2),
                    naive > 0.0 ? core::format_fixed(naive, 2) : "-",
                    core::format_fixed(packed / legacy, 2) + "x"});
 
@@ -362,6 +385,7 @@ int main(int argc, char** argv) {
     row["m"] = core::Json(s.m);
     row["n"] = core::Json(s.n);
     row["k"] = core::Json(s.k);
+    row["packed_gflops_t1"] = core::Json(packed_t1);
     row["packed_gflops"] = core::Json(packed);
     row["legacy_gflops"] = core::Json(legacy);
     if (naive > 0.0) row["naive_gflops"] = core::Json(naive);
@@ -370,6 +394,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   report.set_meta("best_packed_gflops", core::Json(best_gflops));
+  report.set_meta("best_packed_gflops_t1", core::Json(best_gflops_t1));
 
   // ---- per-layer MFU against the rate just measured ------------------
   std::printf("\nPer-layer MFU of a real ViT graph, peak = best sweep rate "

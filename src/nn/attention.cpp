@@ -10,28 +10,14 @@
 #include "core/status.hpp"
 #include "nn/activations.hpp"
 #include "nn/gemm.hpp"
+#include "nn/isa_dispatch.hpp"
 
-// Runtime ISA dispatch for the fused-attention kernels: the repo builds
-// at the portable x86-64 baseline (SSE2) so the binary runs anywhere,
-// but the fused kernel bodies are additionally compiled under
-// `target("avx2,fma")` wrappers and the best variant is picked once per
-// process with __builtin_cpu_supports. The 8-wide FMA micro-kernel
-// roughly doubles the score/context tile throughput; numerics shift
-// only by FMA contraction and vector width (covered by the tolerance
-// gates in nn_attention_test and bench/attention_sweep). Kernel bodies
-// and their callees must be force-inlined into the wrappers — an
-// out-of-line callee would silently stay SSE2. Dispatch is by feature
-// flags, not `target_clones("arch=...")`, because arch clones match the
-// CPU *model* and virtualized CPUs often report none.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define HARVEST_ATTN_DISPATCH 1
-#define HARVEST_ATTN_AVX2 __attribute__((target("avx2,fma")))
-#else
-#define HARVEST_ATTN_DISPATCH 0
-#define HARVEST_ATTN_AVX2
-#endif
-#define HARVEST_ATTN_INLINE inline __attribute__((always_inline))
+// Runtime ISA dispatch for the fused-attention kernels (see
+// nn/isa_dispatch.hpp): the bodies below are compiled portable and
+// again under an AVX2+FMA wrapper. The 8-wide FMA micro-kernel roughly
+// doubles the score/context tile throughput; numerics shift only by FMA
+// contraction and vector width (covered by the tolerance gates in
+// nn_attention_test and bench/attention_sweep).
 
 namespace harvest::nn {
 namespace {
@@ -64,13 +50,14 @@ void attend_one_head(const float* qkv, float* out, float* scores,
 // ---------------------------------------------------------------------------
 // Fused (flash-style) attention.
 //
-// Register tiling mirrors the packed GEMM: MR=4 query rows × NR=16 kv
-// columns per micro-tile, kv tiles of kKvBlock columns streamed through
-// the online-softmax update. Q is packed once per (b, h) into
-// MR-interleaved panels with the 1/√d scale folded in; K into
-// NR-interleaved Bᵀ panels; V into NR-column panels per kv tile. The
-// output slice itself is the rescaled accumulator, so no O(T²) buffer
-// ever exists — scratch is three packed operand copies of O(T·head_dim).
+// Register tiling mirrors the packed GEMM's portable tile: MR=4 query
+// rows × NR=16 kv columns per micro-tile, kv tiles of kKvBlock columns
+// streamed through the online-softmax update. Q is packed once per
+// (b, h) into MR-interleaved panels with the 1/√d scale folded in; K
+// into NR-interleaved Bᵀ panels; V into NR-column panels per kv tile.
+// The output slice itself is the rescaled accumulator, so no O(T²)
+// buffer ever exists — scratch is three packed operand copies of
+// O(T·head_dim).
 
 constexpr std::int64_t kMrA = 4;       // query rows per register tile
 constexpr std::int64_t kNrA = 16;      // kv columns per panel
@@ -83,7 +70,7 @@ constexpr std::int64_t kKvBlock = 64;   // kv columns per online-softmax step
 /// the p-loops it appears in. Exact at x == 0 (the running-max element
 /// keeps weight 1, like the naive path). Valid for x <= 0, which is all
 /// the online softmax ever feeds it.
-HARVEST_ATTN_INLINE float fast_expf(float x) {
+HARVEST_FORCE_INLINE float fast_expf(float x) {
   // max(x, -87) via the abs identity — a ternary/std::max select is
   // "control flow" to GCC's vectorizer and would keep every loop this
   // inlines into scalar. (-87 ≈ log(2^-126): below it expf is 0 anyway.)
@@ -104,13 +91,16 @@ HARVEST_ATTN_INLINE float fast_expf(float x) {
   return p * std::bit_cast<float>((n + 127) << 23);
 }
 
-/// MR×NR micro-kernel over packed panels — the attention twin of the
-/// GEMM micro_kernel (same named-accumulator idiom; see the note there
-/// on why the rows are hand-named).
-HARVEST_ATTN_INLINE void attn_micro(const float* ap, const float* bp,
-                                    std::int64_t kc, float* c, std::int64_t ldc,
-                                    std::int64_t mr, std::int64_t nr,
-                                    bool zero_start) {
+/// MR×NR micro-kernel over packed panels, vectorized by the compiler.
+/// One named accumulator array per MR row, j as the vector axis: a
+/// single acc[kMrA][kNrA] reads cleaner but defeats GCC's vectorizer
+/// ("complicated access pattern" after it unrolls the fixed-count
+/// loops) and runs ~8× slower. The A panel is zero-padded, so the full
+/// kMrA is always computed and only mr rows are stored.
+HARVEST_FORCE_INLINE void attn_micro(const float* ap, const float* bp,
+                                     std::int64_t kc, float* c,
+                                     std::int64_t ldc, std::int64_t mr,
+                                     std::int64_t nr, bool zero_start) {
   float acc0[kNrA] = {}, acc1[kNrA] = {}, acc2[kNrA] = {}, acc3[kNrA] = {};
   static_assert(kMrA == 4, "accumulator rows are hand-named");
   for (std::int64_t p = 0; p < kc; ++p) {
@@ -172,7 +162,7 @@ FusedScratchLayout fused_layout(std::int64_t tokens, std::int64_t head_dim) {
 /// One (image, head) of fused attention. `qkv` points at the image base,
 /// `out` at the image's output base; scratch holds fused_layout(...).total
 /// floats.
-HARVEST_ATTN_INLINE
+HARVEST_FORCE_INLINE
 void attend_one_head_fused_body(const float* qkv, float* out, float* scratch,
                                 std::int64_t tokens, std::int64_t dim,
                                 std::int64_t heads, std::int64_t h) {
@@ -356,8 +346,8 @@ void attend_one_head_fused_portable(const float* qkv, float* out,
   attend_one_head_fused_body(qkv, out, scratch, tokens, dim, heads, h);
 }
 
-#if HARVEST_ATTN_DISPATCH
-HARVEST_ATTN_AVX2
+#if HARVEST_ISA_DISPATCH
+HARVEST_TARGET_AVX2
 void attend_one_head_fused_avx2(const float* qkv, float* out, float* scratch,
                                 std::int64_t tokens, std::int64_t dim,
                                 std::int64_t heads, std::int64_t h) {
@@ -366,9 +356,8 @@ void attend_one_head_fused_avx2(const float* qkv, float* out, float* scratch,
 #endif
 
 AttendFusedFn resolve_attend_fused() {
-#if HARVEST_ATTN_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return attend_one_head_fused_avx2;
+#if HARVEST_ISA_DISPATCH
+  if (isa::has_avx2_fma()) return attend_one_head_fused_avx2;
 #endif
   return attend_one_head_fused_portable;
 }
@@ -448,7 +437,7 @@ std::size_t self_attention_fused_scratch_bytes(std::int64_t tokens,
 
 namespace {
 
-HARVEST_ATTN_INLINE
+HARVEST_FORCE_INLINE
 void attention_decode_fused_body(const float* q, const float* k_rows,
                                  const float* v_rows, std::int64_t row_pitch,
                                  float* out, std::int64_t len,
@@ -503,8 +492,8 @@ void attention_decode_fused_portable(const float* q, const float* k_rows,
                               scale);
 }
 
-#if HARVEST_ATTN_DISPATCH
-HARVEST_ATTN_AVX2
+#if HARVEST_ISA_DISPATCH
+HARVEST_TARGET_AVX2
 void attention_decode_fused_avx2(const float* q, const float* k_rows,
                                  const float* v_rows, std::int64_t row_pitch,
                                  float* out, std::int64_t len,
@@ -515,9 +504,8 @@ void attention_decode_fused_avx2(const float* q, const float* k_rows,
 #endif
 
 DecodeFusedFn resolve_decode_fused() {
-#if HARVEST_ATTN_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return attention_decode_fused_avx2;
+#if HARVEST_ISA_DISPATCH
+  if (isa::has_avx2_fma()) return attention_decode_fused_avx2;
 #endif
   return attention_decode_fused_portable;
 }

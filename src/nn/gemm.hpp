@@ -15,9 +15,17 @@
 /// `add_row_bias` + activation memory passes. The same packed path is
 /// the workload of the practical-FLOPS benchmark reproducing the
 /// "Practical TFLOPS" row of Table 1 on the host CPU.
+///
+/// The micro-kernel is picked once per process from the host ISA
+/// (AVX-512F 8×32 → AVX2+FMA 6×16 → portable 4×16, see `gemm_kernels`),
+/// and every path computes each C element as the same accumulation
+/// chain in K order, so within one ISA a row's result does not depend
+/// on M, on which rows share the call, or on the thread count. Across
+/// ISAs results differ by FMA rounding only (docs/PERFORMANCE.md).
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "tensor/buffer.hpp"
 
@@ -47,11 +55,35 @@ struct GemmEpilogue {
   }
 };
 
+/// One fp32 micro-kernel variant: an mr×nr register tile compiled for
+/// one ISA. B panels are packed nr columns wide and A panels mr rows
+/// tall for it, so packed operands belong to the kernel that packed them.
+struct GemmKernel {
+  using Fn = void (*)(const float* ap, const float* bp, std::int64_t kc,
+                      float* c, std::int64_t ldc, std::int64_t mr,
+                      std::int64_t nr, bool zero_start, const GemmEpilogue* ep,
+                      std::int64_t i_base, std::int64_t j_base);
+  Fn fn = nullptr;
+  const char* name = "";  ///< "avx512" | "avx2" | "portable"
+  std::int64_t mr = 0;
+  std::int64_t nr = 0;
+};
+
+/// Every kernel variant compiled into this binary that the host runs,
+/// best first. The first is the one every entry point below dispatches
+/// to; tests iterate the rest to hold each ISA path to the reference.
+std::span<const GemmKernel> gemm_kernels();
+
+/// Name of the dispatched fp32 micro-kernel (`gemm_kernels().front()`),
+/// mirroring `qgemm_isa()`; bench reports record it so a GEMM rate is
+/// attributable to an ISA.
+const char* gemm_isa();
+
 /// Ahead-of-time packed B operand for the fp32 packed-panel GEMM,
 /// mirroring `QGemmPackedB` for the int8 path: the NR-panel reordering
-/// that `gemm_packed` otherwise performs per call is done once (64-byte
-/// aligned storage) so steady-state forwards skip the pack pass and its
-/// memory traffic entirely. Weights pack at model-load time
+/// that `gemm_with_kernel` otherwise performs per call is done once
+/// (64-byte aligned storage) so steady-state forwards skip the pack pass
+/// and its memory traffic entirely. Weights pack at model-load time
 /// (`Layer::prepare`), landing the cost in the measured cold start.
 class GemmPackedB {
  public:
@@ -63,7 +95,13 @@ class GemmPackedB {
   GemmPackedB(const float* b, std::int64_t ldb, bool b_transposed,
               std::int64_t n, std::int64_t k);
 
+  /// As above, packed for an explicit `kernel` from gemm_kernels();
+  /// gemm_prepacked_ex then runs that kernel.
+  GemmPackedB(const GemmKernel& kernel, const float* b, std::int64_t ldb,
+              bool b_transposed, std::int64_t n, std::int64_t k);
+
   bool empty() const { return n_ == 0; }
+  const GemmKernel& kernel() const { return kernel_; }
   std::int64_t n() const { return n_; }
   std::int64_t k() const { return k_; }
   std::size_t packed_bytes() const { return panels_.size_bytes(); }
@@ -71,6 +109,7 @@ class GemmPackedB {
 
  private:
   tensor::AlignedBuffer panels_;
+  GemmKernel kernel_;
   std::int64_t n_ = 0;
   std::int64_t k_ = 0;
 };
@@ -114,6 +153,16 @@ void gemm_bt_strided(const float* a, std::int64_t lda, const float* b_t,
 void gemm_prepacked_ex(const float* a, std::int64_t lda, const GemmPackedB& b,
                        float* c, std::int64_t ldc, std::int64_t m,
                        bool accumulate, const GemmEpilogue& epilogue);
+
+/// The packed-panel GEMM every entry point above lowers to, on an
+/// explicit kernel variant: C = epilogue(A·B (+ C)), B row-major [K,N]
+/// or (`b_transposed`) [N,K], all operands strided. The public entry
+/// points pass the dispatched kernel.
+void gemm_with_kernel(const GemmKernel& kernel, const float* a,
+                      std::int64_t lda, const float* b, std::int64_t ldb,
+                      bool b_transposed, float* c, std::int64_t ldc,
+                      std::int64_t m, std::int64_t n, std::int64_t k,
+                      bool accumulate, const GemmEpilogue& epilogue);
 
 /// Reference kernel (unblocked, single-threaded); used by tests and as
 /// the baseline in the kernel microbenchmarks.

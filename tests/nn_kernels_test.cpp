@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/rng.hpp"
 #include "nn/activations.hpp"
@@ -245,6 +253,235 @@ TEST(GemmStrided, TransposedBStridedMatchesDense) {
   for (int i = 0; i < kM; ++i) {
     for (int j = 0; j < kN; ++j) {
       EXPECT_NEAR(wc[i * kLdc + j], want[i * kN + j], 1e-4f) << i << "," << j;
+    }
+  }
+}
+
+// ------------------------------------- GEMM kernel variants and invariance
+//
+// Every micro-kernel the host runs (gemm_kernels(), best first) is held
+// to gemm_naive within its ISA's tolerance, through every entry point.
+// Within one ISA, results must not depend on the thread count or on
+// which other rows share the call: every path a row can take computes
+// each C element as the same chain in K order.
+
+/// Worst |C - naive| per unit of K each ISA path may show on inputs in
+/// [-1, 1]. The portable path rounds like gemm_naive and departs from it
+/// only where a KC=256 block restarts the chain; the FMA paths also skip
+/// the product's rounding on every step. Measured worst on x86-64:
+/// portable 0 (k <= 256) and 4.8e-8 (k > 256); avx2 and avx512 6.0e-8.
+float isa_tolerance_per_k(const std::string& isa) {
+  if (isa == "portable") return 2.5e-7f;
+  return 5e-7f;  // "avx2", "avx512"
+}
+
+struct GemmCase {
+  int m, n, k;
+};
+
+/// Shapes straddling every kernel's MR (4, 6, 8) and NR (16, 32), the
+/// KC=256 block, the shallow-K bound (k <= 32) and the small-problem
+/// bound (m·n·k <= 4096).
+const std::vector<GemmCase>& isa_cases() {
+  static const std::vector<GemmCase> cases = {
+      {1, 1, 1},     {3, 15, 7},    {5, 17, 31},   {6, 16, 32},
+      {7, 31, 33},   {8, 32, 64},   {9, 33, 255},  {13, 47, 256},
+      {25, 65, 257}, {4, 32, 32},   {4, 32, 33},   {1, 16, 256},
+      {1, 16, 257},  {97, 40, 12},  {130, 70, 300}, {257, 48, 513},
+  };
+  return cases;
+}
+
+enum class GemmEntry { kPlain, kTransposed, kStrided, kPrepacked };
+constexpr GemmEntry kAllEntries[] = {GemmEntry::kPlain, GemmEntry::kTransposed,
+                                     GemmEntry::kStrided,
+                                     GemmEntry::kPrepacked};
+
+const char* entry_name(GemmEntry e) {
+  switch (e) {
+    case GemmEntry::kPlain: return "plain";
+    case GemmEntry::kTransposed: return "transposed";
+    case GemmEntry::kStrided: return "strided";
+    case GemmEntry::kPrepacked: return "prepacked";
+  }
+  return "?";
+}
+
+/// C = epilogue(A·B (+ c0 if accumulate)) through one entry point on
+/// `kernel`. A is [m,k] and B [k,n], dense row-major; the Bᵀ entries get
+/// the transpose, the strided entry wider row pitches. Returns dense C.
+std::vector<float> run_entry(const GemmKernel& kernel, GemmEntry entry,
+                             const float* a, const std::vector<float>& b,
+                             int m, int n, int k, bool accumulate = false,
+                             const float* c0 = nullptr,
+                             const GemmEpilogue& ep = {}) {
+  std::vector<float> b_t(static_cast<std::size_t>(n * k));
+  for (int p = 0; p < k; ++p) {
+    for (int j = 0; j < n; ++j) b_t[j * k + p] = b[p * n + j];
+  }
+  std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+  if (c0 != nullptr) std::copy(c0, c0 + m * n, c.begin());
+  switch (entry) {
+    case GemmEntry::kPlain:
+      gemm_with_kernel(kernel, a, k, b.data(), n, false, c.data(), n, m, n, k,
+                       accumulate, ep);
+      break;
+    case GemmEntry::kTransposed:
+      gemm_with_kernel(kernel, a, k, b_t.data(), k, true, c.data(), n, m, n,
+                       k, accumulate, ep);
+      break;
+    case GemmEntry::kStrided: {
+      const int lda = k + 3, ldb = n + 5, ldc = n + 7;
+      std::vector<float> wa(static_cast<std::size_t>(m * lda), 7.0f);
+      std::vector<float> wb(static_cast<std::size_t>(k * ldb), 7.0f);
+      std::vector<float> wc(static_cast<std::size_t>(m * ldc), 7.0f);
+      for (int i = 0; i < m; ++i) {
+        std::copy(a + i * k, a + i * k + k, wa.begin() + i * lda);
+        std::copy(c.begin() + i * n, c.begin() + i * n + n,
+                  wc.begin() + i * ldc);
+      }
+      for (int p = 0; p < k; ++p) {
+        std::copy(b.begin() + p * n, b.begin() + p * n + n,
+                  wb.begin() + p * ldb);
+      }
+      gemm_with_kernel(kernel, wa.data(), lda, wb.data(), ldb, false,
+                       wc.data(), ldc, m, n, k, accumulate, ep);
+      for (int i = 0; i < m; ++i) {
+        std::copy(wc.begin() + i * ldc, wc.begin() + i * ldc + n,
+                  c.begin() + i * n);
+        for (int j = n; j < ldc; ++j) EXPECT_EQ(wc[i * ldc + j], 7.0f);
+      }
+      break;
+    }
+    case GemmEntry::kPrepacked: {
+      const GemmPackedB packed(kernel, b_t.data(), k, true, n, k);
+      gemm_prepacked_ex(a, k, packed, c.data(), n, m, accumulate, ep);
+      break;
+    }
+  }
+  return c;
+}
+
+bool bit_equal(const float* x, const float* y, std::size_t n) {
+  return std::memcmp(x, y, n * sizeof(float)) == 0;
+}
+
+TEST(GemmIsa, DispatchesTheBestHostKernel) {
+  const auto kernels = gemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, gemm_isa());
+  EXPECT_STREQ(kernels.back().name, "portable");
+  for (const GemmKernel& kernel : kernels) {
+    EXPECT_NE(kernel.fn, nullptr);
+    EXPECT_GT(kernel.mr, 0);
+    EXPECT_GT(kernel.nr, 0);
+  }
+}
+
+TEST(GemmIsa, PublicEntryPointsRunTheDispatchedKernel) {
+  constexpr int kM = 37, kN = 70, kK = 300;
+  const auto a = random_vec(kM * kK, 81);
+  const auto b = random_vec(kK * kN, 82);
+  const GemmKernel& best = gemm_kernels().front();
+  const auto want = run_entry(best, GemmEntry::kPlain, a.data(), b, kM, kN, kK);
+  std::vector<float> got(want.size());
+  gemm(a.data(), b.data(), got.data(), kM, kN, kK);
+  EXPECT_TRUE(bit_equal(got.data(), want.data(), want.size()));
+  const GemmPackedB packed(b.data(), kN, false, kN, kK);
+  EXPECT_STREQ(packed.kernel().name, best.name);
+  gemm_prepacked_ex(a.data(), kK, packed, got.data(), kN, kM, false, {});
+  EXPECT_TRUE(bit_equal(got.data(), want.data(), want.size()));
+}
+
+TEST(GemmIsa, EveryHostKernelMatchesNaiveWithinItsTolerance) {
+  for (const GemmKernel& kernel : gemm_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    const float tol = isa_tolerance_per_k(kernel.name);
+    for (const GemmCase& gc : isa_cases()) {
+      const auto a = random_vec(static_cast<std::size_t>(gc.m * gc.k), 91);
+      const auto b = random_vec(static_cast<std::size_t>(gc.k * gc.n), 92);
+      std::vector<float> want(static_cast<std::size_t>(gc.m * gc.n));
+      gemm_naive(a.data(), b.data(), want.data(), gc.m, gc.n, gc.k);
+      for (const GemmEntry entry : kAllEntries) {
+        const auto got =
+            run_entry(kernel, entry, a.data(), b, gc.m, gc.n, gc.k);
+        float worst = 0.0f;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          worst = std::max(worst, std::fabs(got[i] - want[i]));
+        }
+        EXPECT_LE(worst, tol * static_cast<float>(gc.k))
+            << entry_name(entry) << " m=" << gc.m << " n=" << gc.n
+            << " k=" << gc.k;
+      }
+    }
+  }
+}
+
+TEST(GemmInvariance, BitIdenticalAtOneTwoAndAllThreads) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  const int threads[] = {1, 2, omp_get_num_procs()};
+  const GemmCase cases[] = {{257, 576, 192}, {200, 100, 513}, {300, 70, 20}};
+  GemmEpilogue ep;
+  const auto bias = random_vec(576, 93);
+  ep.bias_n = bias.data();
+  ep.act = EpilogueAct::kGelu;
+  for (const GemmKernel& kernel : gemm_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    for (const GemmCase& gc : cases) {
+      const auto a = random_vec(static_cast<std::size_t>(gc.m * gc.k), 94);
+      const auto b = random_vec(static_cast<std::size_t>(gc.k * gc.n), 95);
+      for (const GemmEntry entry : {GemmEntry::kPlain, GemmEntry::kPrepacked}) {
+        std::vector<float> ref;
+        for (const int t : threads) {
+          omp_set_num_threads(t);
+          const auto got =
+              run_entry(kernel, entry, a.data(), b, gc.m, gc.n, gc.k, false,
+                        nullptr, ep);
+          if (ref.empty()) {
+            ref = got;
+          } else {
+            EXPECT_TRUE(bit_equal(got.data(), ref.data(), ref.size()))
+                << entry_name(entry) << " m=" << gc.m << " threads=" << t;
+          }
+        }
+      }
+    }
+  }
+  omp_set_num_threads(saved);
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
+TEST(GemmInvariance, RowOfOneRowCallEqualsRowOfBatchedCall) {
+  // (n, k): small-problem path at m=1 (n·k <= 4096) but packed at
+  // m=257, shallow K, a KC straddle, and a plain mid-size shape.
+  constexpr int kRows = 257;
+  const std::pair<int, int> shapes[] = {{16, 200}, {40, 12}, {70, 300},
+                                        {33, 64}};
+  for (const GemmKernel& kernel : gemm_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    for (const auto& [n, k] : shapes) {
+      const auto a = random_vec(static_cast<std::size_t>(kRows * k), 96);
+      const auto b = random_vec(static_cast<std::size_t>(k * n), 97);
+      const auto c0 = random_vec(static_cast<std::size_t>(kRows * n), 98);
+      const auto bias = random_vec(static_cast<std::size_t>(n), 99);
+      GemmEpilogue ep;
+      ep.bias_n = bias.data();
+      ep.act = EpilogueAct::kGelu;
+      for (const GemmEntry entry : kAllEntries) {
+        const auto full = run_entry(kernel, entry, a.data(), b, kRows, n, k,
+                                    true, c0.data(), ep);
+        for (int i = 0; i < kRows; ++i) {
+          const auto row = run_entry(kernel, entry, a.data() + i * k, b, 1, n,
+                                     k, true, c0.data() + i * n, ep);
+          ASSERT_TRUE(bit_equal(row.data(), full.data() + i * n,
+                                static_cast<std::size_t>(n)))
+              << entry_name(entry) << " n=" << n << " k=" << k
+              << " row=" << i;
+        }
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 
 #include "nn/init.hpp"
 #include "nn/models.hpp"
@@ -8,6 +9,12 @@
 #include "tensor/ops.hpp"
 
 namespace harvest::nn {
+
+/// gtest prints a parameter into the listed test name; without this it
+/// dumps the raw bytes of the spec, whose first word is a heap address,
+/// so the ctest names would change from one build to the next.
+void PrintTo(const ModelSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 /// Table 3 reproduction: the real graphs must land on the paper's

@@ -274,8 +274,8 @@ TEST(StatePool, StaleLeaseIsInertAfterEviction) {
   EXPECT_EQ(pool.active(), 0);
 }
 
-// Concurrent acquire/touch/evict/release storm (run under TSan via the
-// sanitize_seq target). The drain-time conservation law: every acquire
+// Concurrent acquire/touch/evict/release storm (run under TSan by the
+// `sanitize` target). The drain-time conservation law: every acquire
 // ends as exactly one successful release or one idle eviction — stale
 // releases must not double-free.
 TEST(StatePool, ConcurrentLifecycleConserves) {

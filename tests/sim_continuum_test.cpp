@@ -294,10 +294,15 @@ TEST(ContinuumSim, AutoscaleSavesReplicaSecondsOnAQuietCloud) {
 }
 
 TEST(ContinuumSim, AutoscaleScalesUpWhenTheRegionBacklogs) {
-  // Swap the regional tier for a CPU box slower than the uplinks feed
-  // it: the backlog-per-replica watermark must trip and add replicas.
+  // Swap the regional tier for an edge-class device (JetsonOrinNano,
+  // ~0.65 s/img) fed over fiber, so the uplinks deliver images faster
+  // than one replica serves them: the backlog-per-replica watermark must
+  // trip and add replicas. Both tiers come from the fixed device catalog,
+  // so the premise holds on any host (a `HostCPU` tier would be priced
+  // from the test machine's core count).
   ContinuumConfig config = faulty_fleet_config();
-  config.topology.cloud = {"HostCPU", "PyTorch", 8, false};
+  config.topology.cloud = {"JetsonOrinNano", "PyTorch", 8, false};
+  config.topology.uplink = "Fiber";
   config.placement.policy = PlacementPolicy::kAutoscale;
   config.placement.min_replicas = 1;
   config.placement.max_replicas = 4;
