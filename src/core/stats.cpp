@@ -58,6 +58,13 @@ double Percentiles::quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
+double nearest_rank(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size() - 1)));
+  return sorted[std::min(idx, sorted.size() - 1)];
+}
+
 double Percentiles::mean() const {
   if (samples_.empty()) return 0.0;
   double sum = 0.0;

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,10 @@ class Percentiles {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
 };
+
+/// Nearest-rank quantile of ascending-sorted samples: the sample at
+/// index ceil(q·(n−1)), no interpolation. Returns 0 when empty.
+double nearest_rank(std::span<const double> sorted, double q);
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to
 /// the edge bins so mass is never silently dropped, and the clamped mass

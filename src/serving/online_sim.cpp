@@ -150,26 +150,20 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
     }
     config.trace->set_virtual_thread_name(uplink_tid, model + " sim-uplink");
   }
-  /// Request-tree span at simulated timestamps: child of the request's
-  /// root span, or the root itself when `name` is "request".
-  auto record_sim_span = [&](const char* name, double start_s, double end_s,
-                             const SimRequest& request, std::uint32_t tid,
-                             std::int64_t batch = -1) {
-    if (config.trace == nullptr || !request.trace.active()) return;
-    obs::TraceEvent event;
-    event.name = name;
-    event.cat = "sim";
-    event.ph = 'X';
-    event.ts_us = start_s * 1e6;
-    event.dur_us = std::max(end_s - start_s, 0.0) * 1e6;
-    event.tid = tid;
-    event.batch = batch;
-    event.trace_id = request.trace.trace_id;
-    const bool is_root = std::string_view(name) == "request";
-    event.span_id = is_root ? request.trace.root_span_id : obs::next_span_id();
-    event.parent_span_id =
-        is_root ? request.trace.parent_span_id : request.trace.root_span_id;
-    config.trace->record(std::move(event));
+  /// Request-tree spans at simulated timestamps: the request's root, and
+  /// its children (transmit stall, queue, stages, retry backoff).
+  auto root_span = [&](double start_s, double end_s, const SimRequest& request,
+                       std::uint32_t tid, std::int64_t batch = -1) {
+    if (config.trace == nullptr) return;
+    config.trace->record_root("request", "sim", start_s * 1e6, end_s * 1e6,
+                              request.trace, 0, batch, tid);
+  };
+  auto child_span = [&](const char* name, double start_s, double end_s,
+                        const SimRequest& request, std::uint32_t tid,
+                        std::int64_t batch = -1) {
+    if (config.trace == nullptr) return;
+    config.trace->record_child(name, "sim", start_s * 1e6, end_s * 1e6,
+                               request.trace, 0, batch, tid);
   };
 
   // Mutually recursive closures: dispatch is invoked from arrivals,
@@ -259,10 +253,9 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
       // Injected faults, priced in simulated time. A transient failure
       // occupies the engine for its full service time before failing
       // (work done, answer lost) — same contract as FaultyBackend.
-      const bool batch_fails = faults.transient_error_rate > 0.0 &&
-                               fault_rng.bernoulli(faults.transient_error_rate);
-      if (faults.latency_spike_rate > 0.0 &&
-          fault_rng.bernoulli(faults.latency_spike_rate)) {
+      const bool batch_fails =
+          resilience::FaultPlan::fires(faults.transient_error_rate, fault_rng);
+      if (resilience::FaultPlan::fires(faults.latency_spike_rate, fault_rng)) {
         stages.inference += faults.latency_spike_s;
         stages.service += faults.latency_spike_s;
       }
@@ -300,14 +293,13 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
           timing.inference_s = stages.inference;
           timing.total_s = done_at - request.arrived;
           timing.batch_size = static_cast<std::int64_t>(take);
-          record_sim_span("queue", request.enqueued, dispatched_at, request,
-                          tid, static_cast<std::int64_t>(take));
-          record_sim_span("preprocess", dispatched_at,
-                          dispatched_at + stages.preprocess, request, tid,
-                          static_cast<std::int64_t>(take));
-          record_sim_span("inference", infer_start,
-                          infer_start + stages.inference, request, tid,
-                          static_cast<std::int64_t>(take));
+          child_span("queue", request.enqueued, dispatched_at, request, tid,
+                     static_cast<std::int64_t>(take));
+          child_span("preprocess", dispatched_at,
+                     dispatched_at + stages.preprocess, request, tid,
+                     static_cast<std::int64_t>(take));
+          child_span("inference", infer_start, infer_start + stages.inference,
+                     request, tid, static_cast<std::int64_t>(take));
           if (!batch_fails) {
             const double latency = done_at - request.arrived;
             state.latencies.add(latency);
@@ -326,8 +318,8 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
                                      request.trace.trace_id);
             }
             slo_record(!missed, latency);
-            record_sim_span("request", request.arrived, done_at, request, tid,
-                            static_cast<std::int64_t>(take));
+            root_span(request.arrived, done_at, request, tid,
+                      static_cast<std::int64_t>(take));
             continue;
           }
           // Failed batch: retry per policy, with the deadline budget.
@@ -336,17 +328,16 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
                            done_attempts < config.retry.max_attempts;
           double retry_at = 0.0;
           if (retriable) {
-            retry_at =
-                done_at + config.retry.backoff_s(done_attempts, fault_rng);
-            if (config.retry.respect_deadline && config.deadline_s > 0.0 &&
-                retry_at - request.arrived >= config.deadline_s) {
-              retriable = false;  // the backoff would overrun the budget
-            }
+            const double backoff =
+                config.retry.backoff_s(done_attempts, fault_rng);
+            retry_at = done_at + backoff;
+            retriable = !config.retry.overruns_deadline(
+                done_at - request.arrived, backoff, config.deadline_s);
           }
           if (retriable) {
             ++state.retries;
             if (config.metrics != nullptr) config.metrics->record_retry();
-            record_sim_span("backoff", done_at, retry_at, request, tid);
+            child_span("backoff", done_at, retry_at, request, tid);
             SimRequest again = request;
             again.attempts = done_attempts;
             state.simulator.schedule_at(retry_at,
@@ -361,7 +352,7 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
                                      request.trace.trace_id);
             }
             slo_record(false, timing.total_s);
-            record_sim_span("request", request.arrived, done_at, request, tid);
+            root_span(request.arrived, done_at, request, tid);
           }
         }
         try_dispatch();
@@ -427,11 +418,11 @@ OnlineSimReport simulate_online_trace(const platform::DeviceSpec& device,
       request.trace.trace_id = obs::next_trace_id();
       request.trace.root_span_id = obs::next_span_id();
     }
-    if (faults.stall_rate > 0.0 && fault_rng.bernoulli(faults.stall_rate)) {
+    if (resilience::FaultPlan::fires(faults.stall_rate, fault_rng)) {
       // The uplink hiccup delays the request's *arrival at the queue*;
       // its latency clock started when it left the client.
-      record_sim_span("transmit", request.arrived,
-                      request.arrived + faults.stall_s, request, uplink_tid);
+      child_span("transmit", request.arrived, request.arrived + faults.stall_s,
+                 request, uplink_tid);
       state.simulator.schedule_in(faults.stall_s,
                                   [&, request] { enqueue_arrival(request); });
     } else {

@@ -82,12 +82,10 @@ FaultInjector::Decision FaultInjector::next() {
     decision.fail_fast = true;
     return decision;
   }
-  if (plan_.latency_spike_rate > 0.0 &&
-      rng_.bernoulli(plan_.latency_spike_rate)) {
+  if (FaultPlan::fires(plan_.latency_spike_rate, rng_)) {
     decision.delay_s = plan_.latency_spike_s;
   }
-  if (plan_.transient_error_rate > 0.0 &&
-      rng_.bernoulli(plan_.transient_error_rate)) {
+  if (FaultPlan::fires(plan_.transient_error_rate, rng_)) {
     ++injected_errors_;
     decision.status = core::Status(plan_.transient_code,
                                    "injected fault: transient error");

@@ -68,6 +68,13 @@ struct FaultPlan {
   bool any() const {
     return backend_faults() || crash_mtbf_s > 0.0 || stall_rate > 0.0;
   }
+
+  /// One fault draw at `rate` (one of the rates above). A zero rate
+  /// consumes no random number, so every draw stays where it is in the
+  /// stream whichever other faults a plan switches on.
+  static bool fires(double rate, core::Rng& rng) {
+    return rate > 0.0 && rng.bernoulli(rate);
+  }
 };
 
 /// Parse a `"faults"` JSON object (model-repository key; see

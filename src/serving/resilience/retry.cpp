@@ -92,8 +92,8 @@ InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
       backoff = policy_.backoff_s(attempt, rng_);
     }
     // Deadline-aware budget: never sleep into certain failure.
-    if (policy_.respect_deadline && request.deadline_s > 0.0 &&
-        budget.elapsed_seconds() + backoff >= request.deadline_s) {
+    if (policy_.overruns_deadline(budget.elapsed_seconds(), backoff,
+                                  request.deadline_s)) {
       break;
     }
     {

@@ -44,6 +44,16 @@ struct RetryPolicy {
   /// Jittered backoff before retry `attempt` (1-based count of failures
   /// so far). Deterministic given the rng state.
   double backoff_s(int attempt, core::Rng& rng) const;
+
+  /// The deadline rule of every retry loop (RetryingClient and the
+  /// DESs): with `respect_deadline` and a deadline set, a request that
+  /// has used `elapsed_s` of its `deadline_s` budget abandons instead of
+  /// taking a backoff that ends at or past the deadline.
+  bool overruns_deadline(double elapsed_s, double backoff_s,
+                         double deadline_s) const {
+    return respect_deadline && deadline_s > 0.0 &&
+           elapsed_s + backoff_s >= deadline_s;
+  }
 };
 
 /// Parse a `"retry"` JSON object (model-repository / bench configs):

@@ -1,11 +1,11 @@
 #include "serving/sequence/sequence_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/stats.hpp"
 #include "core/status.hpp"
 
 namespace harvest::serving::sequence {
@@ -27,13 +27,6 @@ struct SimSeq {
 std::int64_t round_up(std::int64_t n, std::int64_t multiple) {
   if (multiple <= 1) return n;
   return ((n + multiple - 1) / multiple) * multiple;
-}
-
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size() - 1)));
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 }  // namespace
@@ -92,18 +85,12 @@ SequenceSimReport simulate_sequences(const SequenceSimConfig& config) {
     }
   };
 
-  // Prefill one sequence at `clock` (advancing it) and emit its first
-  // token. Returns false when the sequence already finished (single-
-  // token generation or immediate failure).
-  const auto prefill = [&](std::size_t idx) {
-    SimSeq& s = seqs[idx];
-    ++report.admitted;
-    clock += config.cost.prefill_s(s.prompt);
-    s.done = 1;
+  // One generated token; marks completion/failure. Returns false once
+  // the sequence has finished.
+  const auto generate = [&](SimSeq& s) {
+    ++s.done;
     ++report.tokens_generated;
-    s.ttft_s = clock - s.t_arrive;
-    ttfts.push_back(s.ttft_s);
-    if (s.fail_at == 1) {
+    if (s.fail_at == s.done) {
       s.finished = s.failed = true;
       ++report.failed;
       return false;
@@ -119,22 +106,16 @@ SequenceSimReport simulate_sequences(const SequenceSimConfig& config) {
     return true;
   };
 
-  // One generated token for a live sequence; marks completion/failure.
-  const auto generate = [&](SimSeq& s) {
-    ++s.done;
-    ++report.tokens_generated;
-    if (s.fail_at == s.done) {
-      s.finished = s.failed = true;
-      ++report.failed;
-      return;
-    }
-    if (s.done >= s.decode) {
-      s.finished = true;
-      ++report.completed;
-      if (config.ttft_deadline_s <= 0.0 || s.ttft_s <= config.ttft_deadline_s) {
-        report.tokens_good += static_cast<std::uint64_t>(s.done);
-      }
-    }
+  // Prefill one sequence at `clock` (advancing it) and emit its first
+  // token. Returns false when the sequence already finished (single-
+  // token generation or immediate failure).
+  const auto prefill = [&](std::size_t idx) {
+    SimSeq& s = seqs[idx];
+    ++report.admitted;
+    clock += config.cost.prefill_s(s.prompt);
+    s.ttft_s = clock - s.t_arrive;
+    ttfts.push_back(s.ttft_s);
+    return generate(s);
   };
 
   const auto price_step = [&](std::int64_t rows, std::int64_t padded,
@@ -145,77 +126,47 @@ SequenceSimReport simulate_sequences(const SequenceSimConfig& config) {
     padded_rows_sum += static_cast<std::uint64_t>(padded);
   };
 
-  if (config.policy == BatchPolicy::kContinuous) {
-    while (next < seqs.size() || !queue.empty() || !live.empty()) {
-      if (live.empty() && queue.empty()) {
-        clock = std::max(clock, seqs[next].t_arrive);
-        ingest(clock);
-      }
-      // Iteration-level admission: join the running batch between steps.
+  // The two policies differ in two decisions. Continuous (iteration-
+  // level) batching lets queued sequences join the running batch between
+  // any two steps and retires a finished row at once, so it stops
+  // costing a row. Static (sequence-level) batching forms a new batch
+  // only once the last one has fully retired; finished members keep
+  // their padded row (zombies) until every row has finished.
+  const bool continuous = config.policy == BatchPolicy::kContinuous;
+  const auto finished = [&](std::size_t idx) { return seqs[idx].finished; };
+  while (next < seqs.size() || !queue.empty() || !live.empty()) {
+    if (live.empty() && queue.empty()) {
+      clock = std::max(clock, seqs[next].t_arrive);
+      ingest(clock);
+    }
+    if (continuous || live.empty()) {
       while (static_cast<std::int64_t>(live.size()) < config.max_active &&
              !queue.empty()) {
         const std::size_t idx = queue.front();
         queue.pop_front();
-        if (prefill(idx)) live.push_back(idx);
+        if (prefill(idx) || !continuous) live.push_back(idx);
         ingest(clock);  // arrivals during the prefill
       }
-      if (live.empty()) continue;
-
-      const auto rows = static_cast<std::int64_t>(live.size());
-      std::int64_t cached_total = 0;
-      for (std::size_t idx : live) {
-        cached_total += seqs[idx].prompt + seqs[idx].done;
-      }
-      price_step(rows, round_up(rows, config.length_multiple_of),
-                 cached_total);
-      for (std::size_t idx : live) generate(seqs[idx]);
-      // Retire finished sequences immediately: they stop costing rows.
-      std::erase_if(live,
-                    [&](std::size_t idx) { return seqs[idx].finished; });
-      ingest(clock);
     }
-  } else {
-    // Sequence-level static batching: the batch runs to completion;
-    // finished members keep their padded row (zombies), and nobody
-    // joins mid-batch.
-    while (next < seqs.size() || !queue.empty() || !live.empty()) {
-      if (live.empty()) {
-        if (queue.empty()) {
-          if (next >= seqs.size()) break;
-          clock = std::max(clock, seqs[next].t_arrive);
-          ingest(clock);
-          continue;
-        }
-        while (static_cast<std::int64_t>(live.size()) < config.max_active &&
-               !queue.empty()) {
-          const std::size_t idx = queue.front();
-          queue.pop_front();
-          prefill(idx);
-          live.push_back(idx);  // finished members still occupy a row
-          ingest(clock);
-        }
-      }
+    if (live.empty()) continue;
 
-      const auto rows = static_cast<std::int64_t>(live.size());
-      std::int64_t live_rows = 0;
-      std::int64_t cached_total = 0;
-      for (std::size_t idx : live) {
-        cached_total += seqs[idx].prompt + seqs[idx].done;
-        if (!seqs[idx].finished) ++live_rows;
-      }
-      // The rectangular batch prices every row, finished or not.
-      price_step(live_rows, round_up(rows, config.length_multiple_of),
-                 cached_total);
-      for (std::size_t idx : live) {
-        if (!seqs[idx].finished) generate(seqs[idx]);
-      }
-      if (std::all_of(live.begin(), live.end(), [&](std::size_t idx) {
-            return seqs[idx].finished;
-          })) {
-        live.clear();
-      }
-      ingest(clock);
+    const auto rows = static_cast<std::int64_t>(live.size());
+    std::int64_t live_rows = 0;
+    std::int64_t cached_total = 0;
+    for (std::size_t idx : live) {
+      cached_total += seqs[idx].prompt + seqs[idx].done;
+      if (!finished(idx)) ++live_rows;
     }
+    // The rectangular batch prices every row, finished or not.
+    price_step(live_rows, round_up(rows, config.length_multiple_of),
+               cached_total);
+    for (std::size_t idx : live) {
+      if (!finished(idx)) generate(seqs[idx]);
+    }
+    if (continuous || std::all_of(live.begin(), live.end(), finished)) {
+      std::erase_if(live, finished);
+    }
+    ingest(clock);
   }
 
   report.sim_time_s = clock;
@@ -225,9 +176,9 @@ SequenceSimReport simulate_sequences(const SequenceSimConfig& config) {
     report.goodput_tok_s = static_cast<double>(report.tokens_good) / clock;
   }
   std::sort(ttfts.begin(), ttfts.end());
-  report.ttft_p50_s = percentile(ttfts, 0.50);
-  report.ttft_p95_s = percentile(ttfts, 0.95);
-  report.ttft_p99_s = percentile(ttfts, 0.99);
+  report.ttft_p50_s = core::nearest_rank(ttfts, 0.50);
+  report.ttft_p95_s = core::nearest_rank(ttfts, 0.95);
+  report.ttft_p99_s = core::nearest_rank(ttfts, 0.99);
   if (report.steps > 0) {
     report.mean_batch_rows = static_cast<double>(live_rows_sum) /
                              static_cast<double>(report.steps);

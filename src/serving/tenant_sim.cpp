@@ -1,40 +1,26 @@
 #include "serving/tenant_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <deque>
 #include <queue>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/stats.hpp"
 #include "serving/fair_queue.hpp"
+#include "sim/arrivals.hpp"
 
 namespace harvest::serving {
 
 namespace {
 
-struct Arrival {
-  double t = 0.0;
-  std::int64_t tenant = 0;
-};
-
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size() - 1)));
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 /// Pre-draws one tenant's arrival times: an on/off modulated Poisson
-/// process (exponential burst lengths, Poisson arrivals while on).
-/// Every tenant gets its own splitmix-derived stream so the draw order
-/// is independent of tenant count or interleaving.
-void draw_arrivals(const TenantSimConfig& config, std::int64_t tenant,
-                   std::vector<Arrival>* out) {
-  core::Rng rng(core::splitmix64(config.seed ^
-                                 (0x9e3779b97f4a7c15ULL +
-                                  static_cast<std::uint64_t>(tenant))));
+/// process (exponential burst lengths, Poisson arrivals while on), on
+/// the tenant's own arrival stream.
+void draw_arrivals(const TenantSimConfig& config, std::uint32_t tenant,
+                   std::vector<sim::Arrival>* out) {
+  core::Rng rng = sim::stream_rng(config.seed, tenant);
   double rate = config.base_rate;
   if (tenant == 0) rate *= config.hot_multiplier;
   if (rate <= 0.0) return;
@@ -61,7 +47,7 @@ void draw_arrivals(const TenantSimConfig& config, std::int64_t tenant,
     }
     t += dt;
     if (t >= config.duration_s) break;
-    out->push_back(Arrival{t, tenant});
+    out->push_back(sim::Arrival{t, tenant});
   }
 }
 
@@ -85,15 +71,11 @@ TenantSimReport simulate_tenants(const TenantSimConfig& config) {
       config.max_batch, 1));
 
   // ---- Pre-draw and merge every tenant's arrival stream. -------------
-  std::vector<Arrival> arrivals;
+  std::vector<sim::Arrival> arrivals;
   for (std::size_t tenant = 0; tenant < tenants; ++tenant) {
-    draw_arrivals(config, static_cast<std::int64_t>(tenant), &arrivals);
+    draw_arrivals(config, static_cast<std::uint32_t>(tenant), &arrivals);
   }
-  std::stable_sort(arrivals.begin(), arrivals.end(),
-                   [](const Arrival& a, const Arrival& b) {
-                     if (a.t != b.t) return a.t < b.t;
-                     return a.tenant < b.tenant;
-                   });
+  sim::sort_arrivals(arrivals);
   report.arrivals = arrivals.size();
 
   // ---- Event loop: workers are a min-heap of free times. -------------
@@ -119,7 +101,7 @@ TenantSimReport simulate_tenants(const TenantSimConfig& config) {
   const auto admit = [&](double horizon) {
     while (next < arrivals.size() && arrivals[next].t <= horizon) {
       const auto& a = arrivals[next++];
-      auto& q = queues[static_cast<std::size_t>(a.tenant)];
+      auto& q = queues[a.id];
       if (config.queue_capacity > 0 && q.size() >= config.queue_capacity) {
         ++report.shed;
       } else {
@@ -143,26 +125,19 @@ TenantSimReport simulate_tenants(const TenantSimConfig& config) {
     now = std::max(now, tw);
     admit(now);
 
-    // Pick a tenant with queued work, by policy.
+    // Pick the tenant with queued work and the lowest policy key: its
+    // oldest arrival (FIFO) or its effective virtual time (WFQ); the
+    // lowest index wins ties.
     std::size_t pick = tenants;  // sentinel
-    if (config.policy == FleetPolicy::kSharedFifo) {
-      double best = 0.0;
-      for (std::size_t t = 0; t < tenants; ++t) {
-        if (queues[t].empty()) continue;
-        if (pick == tenants || queues[t].front() < best) {
-          pick = t;
-          best = queues[t].front();
-        }
-      }
-    } else {
-      double best = 0.0;
-      for (std::size_t t = 0; t < tenants; ++t) {
-        if (queues[t].empty()) continue;
-        const double eff = wfq.effective(vt[t]);
-        if (pick == tenants || eff < best) {
-          pick = t;
-          best = eff;
-        }
+    double best = 0.0;
+    for (std::size_t t = 0; t < tenants; ++t) {
+      if (queues[t].empty()) continue;
+      const double key = config.policy == FleetPolicy::kSharedFifo
+                             ? queues[t].front()
+                             : wfq.effective(vt[t]);
+      if (pick == tenants || key < best) {
+        pick = t;
+        best = key;
       }
     }
 
@@ -210,8 +185,8 @@ TenantSimReport simulate_tenants(const TenantSimConfig& config) {
   }
   std::sort(hot_lat.begin(), hot_lat.end());
   std::sort(victim_lat.begin(), victim_lat.end());
-  report.hot_p99_s = percentile(hot_lat, 0.99);
-  report.victim_p99_s = percentile(victim_lat, 0.99);
+  report.hot_p99_s = core::nearest_rank(hot_lat, 0.99);
+  report.victim_p99_s = core::nearest_rank(victim_lat, 0.99);
   if (!victim_lat.empty()) {
     report.victim_mean_s =
         victim_lat_sum / static_cast<double>(victim_lat.size());

@@ -4,16 +4,18 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
-#include <queue>
-#include <string>
 #include <vector>
 
 #include "core/status.hpp"
 #include "core/rng.hpp"
 #include "obs/digest.hpp"
 #include "serving/fair_queue.hpp"
+#include "sim/arrivals.hpp"
+#include "sim/simulator.hpp"
 
 namespace harvest::sim::continuum {
+
+using serving::resilience::FaultPlan;
 
 namespace {
 
@@ -24,11 +26,6 @@ constexpr std::uint32_t kTidUplink = 2001;
 constexpr std::uint32_t kTidCloud = 2002;
 
 constexpr double kPi = 3.14159265358979323846;
-
-struct Arrival {
-  double t = 0.0;
-  std::uint32_t node = 0;
-};
 
 /// One queued/in-flight image. `arrival` never changes (the latency and
 /// deadline anchor); `enqueued` is the current queue's entry time (the
@@ -49,21 +46,13 @@ enum class EventKind : std::uint8_t {
   kScaleTick,   ///< a = region
 };
 
+/// Payload of one fleet event; the queue holds its time and tie-break.
 struct Event {
-  double t = 0.0;
-  std::uint64_t seq = 0;  ///< deterministic tie-break
   EventKind kind = EventKind::kEdgeDone;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
   double service_s = 0.0;  ///< kEdgeDone/kCloudDone: the batch's price
   QReq req;                ///< kRetry only
-};
-
-struct EventAfter {
-  bool operator()(const Event& x, const Event& y) const {
-    if (x.t != y.t) return x.t > y.t;
-    return x.seq > y.seq;
-  }
 };
 
 /// Pre-draws the whole fleet's arrival stream: per node, drone-sync
@@ -99,8 +88,7 @@ std::vector<Arrival> draw_fleet_arrivals(const ArrivalCurve& curve,
   if (rate_bound <= 0.0) return out;
 
   for (std::int64_t node = 0; node < nodes; ++node) {
-    core::Rng rng(core::splitmix64(
-        seed ^ (0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(node))));
+    core::Rng rng = stream_rng(seed, static_cast<std::uint64_t>(node));
     double t = 0.0;
     for (;;) {
       t += rng.exponential(rate_bound);
@@ -115,19 +103,9 @@ std::vector<Arrival> draw_fleet_arrivals(const ArrivalCurve& curve,
       }
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Arrival& x, const Arrival& y) {
-                     if (x.t != y.t) return x.t < y.t;
-                     return x.node < y.node;
-                   });
+  sort_arrivals(out);
   return out;
 }
-
-/// Context of one sampled (traced) image.
-struct TraceCtx {
-  std::uint64_t trace_id = 0;
-  std::uint64_t root_span_id = 0;
-};
 
 }  // namespace
 
@@ -207,8 +185,7 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
   std::vector<std::vector<QReq>> cloud_inflight;  ///< slot pool
   std::vector<std::uint32_t> cloud_free_slots;
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events;
-  std::uint64_t seq = 0;
+  EventQueue<Event> events;
   double now = 0.0;
   std::size_t cursor = 0;
   std::uint64_t peak_completed = 0;
@@ -216,7 +193,7 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
   obs::QuantileDigest total_digest;
   obs::QuantileDigest edge_digest;
   obs::QuantileDigest cloud_digest;
-  std::vector<TraceCtx> traced;
+  std::vector<obs::TraceContext> traced;
 
   const double pw_start = config.peak_window_start_s >= 0.0
                               ? config.peak_window_start_s
@@ -232,41 +209,32 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
     config.trace->set_virtual_thread_name(kTidUplink, "continuum uplink");
     config.trace->set_virtual_thread_name(kTidCloud, "continuum cloud");
   }
-  /// Simulated-time span, causally linked under the image's root.
-  const auto record_span = [&](const char* name, double start_s, double end_s,
-                               const QReq& req, std::uint32_t tid,
-                               std::int64_t batch = -1) {
+  /// Simulated-time spans of a sampled image: its root, and the hops
+  /// causally linked under it.
+  const auto root_span = [&](double start_s, double end_s, const QReq& req,
+                             std::uint32_t tid) {
     if (!tracing || req.trace_slot == 0) return;
-    const TraceCtx& ctx = traced[req.trace_slot - 1];
-    obs::TraceEvent event;
-    event.name = name;
-    event.cat = "continuum";
-    event.ph = 'X';
-    event.ts_us = start_s * 1e6;
-    event.dur_us = std::max(end_s - start_s, 0.0) * 1e6;
-    event.tid = tid;
-    event.batch = batch;
-    event.trace_id = ctx.trace_id;
-    const bool is_root = std::string_view(name) == "request";
-    event.span_id = is_root ? ctx.root_span_id : obs::next_span_id();
-    event.parent_span_id = is_root ? 0 : ctx.root_span_id;
-    config.trace->record(std::move(event));
+    config.trace->record_root("request", "continuum", start_s * 1e6,
+                              end_s * 1e6, traced[req.trace_slot - 1], 0, -1,
+                              tid);
+  };
+  const auto child_span = [&](const char* name, double start_s, double end_s,
+                              const QReq& req, std::uint32_t tid,
+                              std::int64_t batch = -1) {
+    if (!tracing || req.trace_slot == 0) return;
+    config.trace->record_child(name, "continuum", start_s * 1e6, end_s * 1e6,
+                               traced[req.trace_slot - 1], 0, batch, tid);
   };
 
   const auto slo_record = [&](bool ok, double latency_s) {
     if (config.slo.enabled()) slo_tracker.record(now, ok, latency_s);
   };
 
-  const auto push_event = [&](Event event) {
-    event.seq = seq++;
-    events.push(std::move(event));
-  };
-
   // ---- Outcome accounting. --------------------------------------------
   const auto shed_one = [&](const QReq& req) {
     ++report.shed;
     slo_record(false, 0.0);
-    record_span("request", req.arrival, now, req, kTidEdge);
+    root_span(req.arrival, now, req, kTidEdge);
   };
 
   const auto complete_one = [&](const QReq& req, double extra_latency_s,
@@ -289,8 +257,8 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
     total_digest.add(latency, exemplar);
     (at_cloud ? cloud_digest : edge_digest).add(latency, exemplar);
     slo_record(on_time, latency);
-    record_span("request", req.arrival, req.arrival + latency, req,
-                at_cloud ? kTidCloud : kTidEdge);
+    root_span(req.arrival, req.arrival + latency, req,
+              at_cloud ? kTidCloud : kTidEdge);
   };
 
   // ---- Routing (forward declarations via std::function-free lambdas
@@ -306,8 +274,7 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
             static_cast<std::size_t>(place.degrade_queue_threshold);
     double service = degraded ? costs.edge.degraded_s[batch]
                               : costs.edge.service_s[batch];
-    if (config.faults.latency_spike_rate > 0.0 &&
-        fault_rng.bernoulli(config.faults.latency_spike_rate)) {
+    if (FaultPlan::fires(config.faults.latency_spike_rate, fault_rng)) {
       service += config.faults.latency_spike_s;
     }
     auto& inflight = edge_inflight[node];
@@ -317,10 +284,10 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
                 queue.begin() + static_cast<std::ptrdiff_t>(batch));
     edge_busy[node] = 1;
     for (const QReq& req : inflight) {
-      record_span("queue", req.enqueued, now, req, kTidEdge);
+      child_span("queue", req.enqueued, now, req, kTidEdge);
     }
-    push_event(Event{now + service, 0, EventKind::kEdgeDone, node,
-                     degraded ? 1u : 0u, service, QReq{}});
+    events.push(now + service, Event{EventKind::kEdgeDone, node,
+                                     degraded ? 1u : 0u, service, QReq{}});
   };
 
   const auto kick_uplink = [&](std::uint32_t farm) {
@@ -328,19 +295,18 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
     if (uplink_busy[farm] != 0 || queue.empty()) return;
     QReq req = queue.front();
     queue.pop_front();
-    record_span("queue", req.enqueued, now, req, kTidUplink);
+    child_span("queue", req.enqueued, now, req, kTidUplink);
     double transfer = costs.uplink.transfer_time_s(costs.upload_bytes);
-    if (config.faults.stall_rate > 0.0 &&
-        fault_rng.bernoulli(config.faults.stall_rate)) {
+    if (FaultPlan::fires(config.faults.stall_rate, fault_rng)) {
       transfer += config.faults.stall_s;
     }
     report.transmit_bytes +=
         costs.upload_bytes + costs.uplink.per_request_overhead_bytes;
-    record_span("offload", now, now + transfer, req, kTidUplink);
+    child_span("offload", now, now + transfer, req, kTidUplink);
     uplink_inflight[farm] = req;
     uplink_busy[farm] = 1;
-    push_event(
-        Event{now + transfer, 0, EventKind::kUplinkDone, farm, 0, 0.0, QReq{}});
+    events.push(now + transfer,
+                Event{EventKind::kUplinkDone, farm, 0, 0.0, QReq{}});
   };
 
   const auto kick_cloud = [&](std::uint32_t region_index) {
@@ -365,8 +331,7 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
       region.farm_vt[pick] = region.wfq.charge(
           region.farm_vt[pick], static_cast<double>(batch), 1.0);
       double service = costs.cloud.service_s[batch];
-      if (config.faults.latency_spike_rate > 0.0 &&
-          fault_rng.bernoulli(config.faults.latency_spike_rate)) {
+      if (FaultPlan::fires(config.faults.latency_spike_rate, fault_rng)) {
         service += config.faults.latency_spike_s;
       }
       std::uint32_t slot;
@@ -385,10 +350,10 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
       region.queued -= batch;
       ++region.busy;
       for (const QReq& req : inflight) {
-        record_span("queue", req.enqueued, now, req, kTidCloud);
+        child_span("queue", req.enqueued, now, req, kTidCloud);
       }
-      push_event(Event{now + service, 0, EventKind::kCloudDone, region_index,
-                       slot, service, QReq{}});
+      events.push(now + service, Event{EventKind::kCloudDone, region_index,
+                                       slot, service, QReq{}});
     }
   };
 
@@ -479,23 +444,22 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
     if (config.retry.enabled() && req.attempts < config.retry.max_attempts) {
       const double backoff =
           config.retry.backoff_s(req.attempts, retry_rng);
-      if (!(config.retry.respect_deadline && config.deadline_s > 0.0 &&
-            now + backoff > req.arrival + config.deadline_s)) {
+      if (!config.retry.overruns_deadline(now - req.arrival, backoff,
+                                          config.deadline_s)) {
         ++report.retries;
-        record_span("backoff", now, now + backoff, req, kTidEdge);
-        push_event(
-            Event{now + backoff, 0, EventKind::kRetry, 0, 0, 0.0, req});
+        child_span("backoff", now, now + backoff, req, kTidEdge);
+        events.push(now + backoff, Event{EventKind::kRetry, 0, 0, 0.0, req});
         return;
       }
       // The backoff would overrun the deadline budget: abandon.
       ++report.deadline_missed;
       slo_record(false, now - req.arrival);
-      record_span("request", req.arrival, now, req, kTidEdge);
+      root_span(req.arrival, now, req, kTidEdge);
       return;
     }
     ++report.failed;
     slo_record(false, now - req.arrival);
-    record_span("request", req.arrival, now, req, kTidEdge);
+    root_span(req.arrival, now, req, kTidEdge);
   };
 
   const auto any_work_left = [&] {
@@ -514,8 +478,8 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
 
   if (autoscaling) {
     for (std::uint32_t r = 0; r < regions; ++r) {
-      push_event(Event{place.scale_interval_s, 0, EventKind::kScaleTick, r, 0,
-                       0.0, QReq{}});
+      events.push(place.scale_interval_s,
+                  Event{EventKind::kScaleTick, r, 0, 0.0, QReq{}});
     }
   }
 
@@ -523,7 +487,7 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
   while (cursor < arrivals.size() || !events.empty()) {
     const bool take_arrival =
         cursor < arrivals.size() &&
-        (events.empty() || arrivals[cursor].t <= events.top().t);
+        (events.empty() || arrivals[cursor].t <= events.top().when);
     if (take_arrival) {
       const Arrival& arrival = arrivals[cursor++];
       now = arrival.t;
@@ -531,19 +495,22 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
       QReq req;
       req.arrival = now;
       req.enqueued = now;
-      req.node = arrival.node;
+      req.node = arrival.id;
       if (tracing && report.submitted % config.trace_sample_every == 0 &&
           traced.size() < 0xFFFE) {
-        traced.push_back(TraceCtx{obs::next_trace_id(), obs::next_span_id()});
+        obs::TraceContext ctx;
+        ctx.trace_id = obs::next_trace_id();
+        ctx.root_span_id = obs::next_span_id();
+        traced.push_back(ctx);
         req.trace_slot = static_cast<std::uint16_t>(traced.size());
       }
       route(req);
       continue;
     }
 
-    const Event event = events.top();
-    events.pop();
-    now = event.t;
+    const auto next = events.pop();
+    now = next.when;
+    const Event& event = next.payload;
     switch (event.kind) {
       case EventKind::kEdgeDone: {
         const std::uint32_t node = event.a;
@@ -556,12 +523,11 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
         admission.observe_batch(static_cast<std::int64_t>(inflight.size()),
                                 event.service_s);
         const bool faulted =
-            config.faults.transient_error_rate > 0.0 &&
-            fault_rng.bernoulli(config.faults.transient_error_rate);
+            FaultPlan::fires(config.faults.transient_error_rate, fault_rng);
         const double infer_start = now - event.service_s;
         for (const QReq& req : inflight) {
-          record_span("inference", infer_start, now, req, kTidEdge,
-                      static_cast<std::int64_t>(inflight.size()));
+          child_span("inference", infer_start, now, req, kTidEdge,
+                     static_cast<std::int64_t>(inflight.size()));
         }
         if (faulted) {
           // Work done, answers lost — the realistic worst case.
@@ -604,12 +570,11 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
         report.cloud.busy_s += event.service_s;
         report.cloud.energy_j += event.service_s * costs.cloud.power_w;
         const bool faulted =
-            config.faults.transient_error_rate > 0.0 &&
-            fault_rng.bernoulli(config.faults.transient_error_rate);
+            FaultPlan::fires(config.faults.transient_error_rate, fault_rng);
         const double infer_start = now - event.service_s;
         for (const QReq& req : inflight) {
-          record_span("inference", infer_start, now, req, kTidCloud,
-                      static_cast<std::int64_t>(inflight.size()));
+          child_span("inference", infer_start, now, req, kTidCloud,
+                     static_cast<std::int64_t>(inflight.size()));
         }
         if (faulted) {
           for (const QReq& req : inflight) retry_or_fail(req);
@@ -650,9 +615,9 @@ ContinuumReport simulate_continuum(const ContinuumConfig& config) {
           ++report.scale_downs;
         }
         if (any_work_left()) {
-          push_event(Event{now + place.scale_interval_s, 0,
-                           EventKind::kScaleTick, region_index, 0, 0.0,
-                           QReq{}});
+          events.push(now + place.scale_interval_s,
+                      Event{EventKind::kScaleTick, region_index, 0, 0.0,
+                            QReq{}});
         }
         break;
       }

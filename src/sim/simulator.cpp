@@ -2,22 +2,14 @@
 
 namespace harvest::sim {
 
-void Simulator::schedule_at(double when, Action action) {
-  HARVEST_CHECK_MSG(when >= now_, "cannot schedule into the past");
-  queue_.push(Event{when, next_seq_++, std::move(action)});
-}
-
 std::size_t Simulator::run(double until) {
   std::size_t executed = 0;
-  while (!queue_.empty()) {
-    // priority_queue::top is const; the event is copied out so that the
-    // action may schedule further events (including at equal time).
-    const Event& top = queue_.top();
-    if (top.when > until) break;
-    Action action = std::move(const_cast<Event&>(top).action);
-    now_ = top.when;
-    queue_.pop();
-    action();
+  // The action is moved out before it runs, so it may schedule further
+  // events (including at equal time).
+  while (!queue_.empty() && queue_.top().when <= until) {
+    auto event = queue_.pop();
+    now_ = event.when;
+    event.payload();
     ++executed;
   }
   if (until != kForever && now_ < until && queue_.empty()) now_ = until;

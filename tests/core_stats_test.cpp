@@ -95,6 +95,16 @@ TEST(Percentiles, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(pct.median(), 20.0);
 }
 
+TEST(NearestRank, PicksTheSampleAtTheCeilingRank) {
+  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.51), 4.0);  // ceil(2.04) = 3
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 0.99), 5.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(sorted, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(nearest_rank({}, 0.5), 0.0);
+}
+
 TEST(Histogram, BinGeometry) {
   Histogram hist(0.0, 10.0, 5);
   EXPECT_EQ(hist.bin_count(), 5u);

@@ -272,6 +272,20 @@ TEST(Retry, ParseValidatesPolicy) {
   EXPECT_FALSE(resilience::parse_retry_policy(bad.value()).is_ok());
 }
 
+TEST(Retry, DeadlineRuleAbandonsOnTheEqualityBoundary) {
+  // The one rule RetryingClient and the online and continuum DESs share:
+  // a backoff that ends exactly at the deadline is not taken. Binary
+  // fractions keep elapsed + backoff exact.
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  EXPECT_TRUE(policy.overruns_deadline(0.25, 0.75, 1.0));   // == deadline
+  EXPECT_TRUE(policy.overruns_deadline(0.5, 0.75, 1.0));    // past it
+  EXPECT_FALSE(policy.overruns_deadline(0.25, 0.625, 1.0)); // inside it
+  EXPECT_FALSE(policy.overruns_deadline(0.25, 0.75, 0.0));  // no deadline
+  policy.respect_deadline = false;
+  EXPECT_FALSE(policy.overruns_deadline(0.5, 0.75, 1.0));
+}
+
 TEST(Retry, ClientRetriesUntilSuccess) {
   Server server(1);
   ASSERT_TRUE(server
