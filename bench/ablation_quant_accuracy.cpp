@@ -5,6 +5,7 @@
 /// of synthetic feature vectors — prediction agreement, output error,
 /// and the actual CPU kernel speed of both paths.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -38,8 +39,12 @@ int main() {
       v = (rng.next_float() - 0.5f) * 0.3f;
     }
     for (float& v : reference.bias().f32_span()) v = rng.next_float() - 0.5f;
-    nn::QuantizedLinear quantized("head.q", reference.weight(),
-                                  reference.bias(), 1);
+    nn::Linear quantized("head.q", in_dim, out_dim, 1);
+    std::copy_n(reference.weight().f32(), reference.weight().numel(),
+                quantized.weight().f32());
+    std::copy_n(reference.bias().f32(), reference.bias().numel(),
+                quantized.bias().f32());
+    quantized.quantize();
 
     constexpr std::int64_t kRows = 2000;
     tensor::Tensor input(tensor::Shape{kRows, in_dim}, tensor::DType::kF32);
@@ -90,9 +95,9 @@ int main() {
   std::fputs(table.render().c_str(), stdout);
 
   // Whole-model view: the same comparison after nn::quantize_model has
-  // swapped every eligible layer (patch embed / attention projections /
-  // MLPs / convs), i.e. the exact graph an `"precision": "int8"` native
-  // deployment serves.
+  // switched every eligible layer to int8 (patch embed / attention
+  // projections / MLPs / convs), i.e. the exact graph an
+  // `"precision": "int8"` native deployment serves.
   core::TextTable model_table("full model (nn::quantize_model)");
   model_table.set_header({"model", "argmax agreement", "rel. L2 error",
                           "float s/batch", "int8 s/batch", "speed"});

@@ -12,6 +12,7 @@
 #include "nn/attention.hpp"
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
+#include "nn/qgemm.hpp"
 #include "nn/quant.hpp"
 #include "preproc/codec.hpp"
 #include "preproc/transforms.hpp"

@@ -22,10 +22,18 @@ Tensor Model::forward(const Tensor& input) {
   const Tensor* cur = &input;
   Tensor x;
   const std::int64_t batch = input.shape().rank() > 0 ? input.shape()[0] : 0;
-  for (LayerPtr& layer : layers_) {
-    obs::ScopedSpan span(layer->name(), "nn");
+  const bool staged = core::ArenaScope::current() != nullptr;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    obs::ScopedSpan span(layers_[i]->name(), "nn");
     span.set_batch(batch);
-    x = layer->forward(*cur);
+    if (staged && i + 1 < layers_.size()) {
+      core::BumpArena& stage = stages_[i % 2];
+      stage.reset();
+      core::ArenaScope scope(stage);
+      x = layers_[i]->forward(*cur);
+    } else {
+      x = layers_[i]->forward(*cur);
+    }
     cur = &x;
   }
   return x;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "nn/layer.hpp"
 #include "tensor/tensor.hpp"
 
@@ -27,17 +28,14 @@ class Model {
   void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
-  /// Swap layer `i` for a replacement with identical I/O geometry
-  /// (e.g. its quantized counterpart from `quantize_model`).
-  void replace_layer(std::size_t i, LayerPtr layer) {
-    layers_[i] = std::move(layer);
-  }
 
   /// Run a batch [N, ...input_shape] through all layers; returns logits
   /// [N, num_classes]. When the calling thread has a `core::ArenaScope`
-  /// bound, every intermediate activation (and the returned logits
-  /// tensor) is arena-backed: valid only until the arena resets, and
-  /// allocated with zero heap traffic in the steady state.
+  /// bound, every activation is arena-backed and allocated with zero
+  /// heap traffic in the steady state: the last layer's (the returned
+  /// logits) in the bound arena, valid until it resets, and every
+  /// earlier layer's in the model's two stage arenas, reclaimed as soon
+  /// as the next layer has consumed it. Not reentrant.
   tensor::Tensor forward(const tensor::Tensor& input);
 
   /// Run every layer's load-phase `prepare()` (AOT weight packing).
@@ -56,6 +54,10 @@ class Model {
   tensor::Shape input_shape_;
   std::int64_t num_classes_;
   std::vector<LayerPtr> layers_;
+  /// Layer i runs in stages_[i % 2], reset just before; its input, the
+  /// previous layer's output, lives in the other one. This bounds a
+  /// forward's arena footprint by two layers' instead of all of them.
+  core::BumpArena stages_[2];
 };
 
 using ModelPtr = std::unique_ptr<Model>;

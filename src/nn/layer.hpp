@@ -51,10 +51,10 @@ class Layer {
   /// Idempotent; safe to skip (forwards fall back to per-call packing).
   virtual void prepare() {}
 
-  /// Build this layer's INT8 replacement from its current weights, or
-  /// return null if the layer has no quantized form (it is kept as-is).
-  /// Drives the `quantize_model` graph rewrite.
-  virtual std::unique_ptr<Layer> make_quantized() { return nullptr; }
+  /// Switch this layer to INT8 in place, from its current weights; a
+  /// no-op for layers without an int8 form. The fp32 weights are freed,
+  /// and a quantized layer hands out no params. Drives `quantize_model`.
+  virtual void quantize() {}
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -1,5 +1,7 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -106,6 +108,11 @@ OpCost elementwise(std::string name, std::int64_t elems) {
 
 }  // namespace cost
 
+namespace {
+
+/// Gather the non-overlapping patches of one NCHW image into rows:
+/// dst row p = flattened (c, y, x) block of patch p, p = gy·grid + gx,
+/// so a [grid², in_ch·patch²] matrix ready for the projection GEMM.
 void gather_image_patches(const float* img, float* dst, std::int64_t in_ch,
                           std::int64_t image, std::int64_t grid,
                           std::int64_t patch) {
@@ -125,51 +132,131 @@ void gather_image_patches(const float* img, float* dst, std::int64_t in_ch,
   }
 }
 
-// ---------------------------------------------------------------- Linear
+QGemmEpilogue::Act qgemm_act(EpilogueAct act) {
+  switch (act) {
+    case EpilogueAct::kRelu: return QGemmEpilogue::Act::kRelu;
+    case EpilogueAct::kGelu: return QGemmEpilogue::Act::kGelu;
+    case EpilogueAct::kNone: break;
+  }
+  return QGemmEpilogue::Act::kNone;
+}
 
-Linear::Linear(std::string name, std::int64_t in_dim, std::int64_t out_dim,
-               std::int64_t rows_per_image)
-    : name_(std::move(name)), in_dim_(in_dim), out_dim_(out_dim),
-      rows_per_image_(rows_per_image),
+}  // namespace
+
+// ----------------------------------------------------------------- Dense
+
+Dense::Dense(std::int64_t in_dim, std::int64_t out_dim)
+    : in_dim_(in_dim), out_dim_(out_dim),
       weight_(Shape{out_dim, in_dim}, DType::kF32),
       bias_(Shape{out_dim}, DType::kF32) {}
 
-Tensor Linear::forward(const Tensor& input) {
-  const std::int64_t rows = input.numel() / in_dim_;
-  Shape out_shape = input.shape().with_dim(input.shape().rank() - 1, out_dim_);
-  Tensor output = Tensor::scratch(out_shape, DType::kF32);
-  GemmEpilogue epilogue;
+void Dense::run(const float* a, float* c, std::int64_t rows, bool accumulate,
+                GemmEpilogue epilogue) {
+  if (quantized()) {
+    HARVEST_CHECK_MSG(epilogue.add_c == nullptr ||
+                          epilogue.act == EpilogueAct::kNone,
+                      "int8 dense applies add_c after the activation");
+    tensor::AlignedBuffer qa = tensor::AlignedBuffer::scratch(
+        static_cast<std::size_t>(rows * in_dim_));
+    Tensor scales = Tensor::scratch(Shape{rows});
+    quantize_rows(a, rows, in_dim_, qa.as<std::int8_t>(), scales.f32());
+    QGemmEpilogue ep;
+    ep.scale_m = scales.f32();
+    ep.scale_n = row_scales_.data();
+    ep.bias_n = bias_.f32();
+    ep.act = qgemm_act(epilogue.act);
+    ep.accumulate = accumulate;
+    qgemm_prepacked_dequant(qa.as<std::int8_t>(), qpacked_, c, rows, ep);
+    if (epilogue.add_c != nullptr) {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* add = epilogue.add_c + r * epilogue.add_ld;
+        float* row = c + r * out_dim_;
+        for (std::int64_t j = 0; j < out_dim_; ++j) row[j] += add[j];
+      }
+    }
+    return;
+  }
   epilogue.bias_n = bias_.f32();
+  epilogue.bias_m = nullptr;
   if (!packed_.empty() && packs_stale_) prepare();
   if (!packed_.empty()) {
-    gemm_prepacked_ex(input.f32(), in_dim_, packed_, output.f32(), out_dim_,
-                      rows, /*accumulate=*/false, epilogue);
+    gemm_prepacked_ex(a, in_dim_, packed_, c, out_dim_, rows, accumulate,
+                      epilogue);
   } else {
-    gemm_bt_ex(input.f32(), weight_.f32(), output.f32(), rows, out_dim_,
-               in_dim_, /*accumulate=*/false, epilogue);
+    gemm_bt_ex(a, weight_.f32(), c, rows, out_dim_, in_dim_, accumulate,
+               epilogue);
   }
-  return output;
 }
 
-void Linear::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
-  out.push_back(cost::dense(name_, batch * rows_per_image_, in_dim_, out_dim_));
+OpCost Dense::cost(std::string name, std::int64_t rows) const {
+  return quantized()
+             ? quantized_dense_cost(std::move(name), rows, in_dim_, out_dim_)
+             : cost::dense(std::move(name), rows, in_dim_, out_dim_);
 }
 
-void Linear::collect_params(std::vector<NamedParam>& out) {
-  out.push_back({name_ + ".weight", &weight_});
-  out.push_back({name_ + ".bias", &bias_});
+void Dense::collect_params(const std::string& prefix,
+                           std::vector<NamedParam>& out) {
+  if (quantized()) return;
+  out.push_back({prefix + ".weight", &weight_});
+  out.push_back({prefix + ".bias", &bias_});
   packs_stale_ = true;
 }
 
-void Linear::prepare() {
+void Dense::prepare() {
+  if (quantized()) return;
   packed_ = GemmPackedB(weight_.f32(), in_dim_, /*b_transposed=*/true, out_dim_,
                         in_dim_);
   packs_stale_ = false;
 }
 
-LayerPtr Linear::make_quantized() {
-  return std::make_unique<QuantizedLinear>(name_, weight_, bias_,
-                                           rows_per_image_);
+void Dense::quantize() {
+  if (quantized()) return;
+  std::vector<std::int8_t> qweight(
+      static_cast<std::size_t>(in_dim_ * out_dim_));
+  row_scales_.resize(static_cast<std::size_t>(out_dim_));
+  // Per-output-row scales keep the error independent of other rows'
+  // dynamic range.
+  for (std::int64_t r = 0; r < out_dim_; ++r) {
+    const float* row = weight_.f32() + r * in_dim_;
+    std::int8_t* qrow = qweight.data() + r * in_dim_;
+    const float scale =
+        quantize_symmetric({row, static_cast<std::size_t>(in_dim_)}, qrow);
+    row_scales_[static_cast<std::size_t>(r)] = scale;
+    for (std::int64_t c = 0; c < in_dim_; ++c) {
+      const float rebuilt = static_cast<float>(qrow[c]) * scale;
+      max_weight_error_ =
+          std::max(max_weight_error_, std::fabs(rebuilt - row[c]));
+    }
+  }
+  // Weights are static: pack into micro-kernel panels once, here, so
+  // forward passes skip the per-call B pack entirely.
+  qpacked_ = QGemmPackedB(qweight.data(), out_dim_, in_dim_);
+  weight_ = Tensor();
+  packed_ = GemmPackedB();
+}
+
+// ---------------------------------------------------------------- Linear
+
+Linear::Linear(std::string name, std::int64_t in_dim, std::int64_t out_dim,
+               std::int64_t rows_per_image)
+    : name_(std::move(name)), rows_per_image_(rows_per_image),
+      dense_(in_dim, out_dim) {}
+
+Tensor Linear::forward(const Tensor& input) {
+  const std::int64_t rows = input.numel() / dense_.in_dim();
+  Shape out_shape =
+      input.shape().with_dim(input.shape().rank() - 1, dense_.out_dim());
+  Tensor output = Tensor::scratch(out_shape, DType::kF32);
+  dense_.run(input.f32(), output.f32(), rows, /*accumulate=*/false);
+  return output;
+}
+
+void Linear::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
+  out.push_back(dense_.cost(name_, batch * rows_per_image_));
+}
+
+void Linear::collect_params(std::vector<NamedParam>& out) {
+  dense_.collect_params(name_, out);
 }
 
 // ------------------------------------------------------------------ Gelu
@@ -221,8 +308,7 @@ PatchEmbed::PatchEmbed(std::string name, std::int64_t image, std::int64_t patch,
                        std::int64_t in_ch, std::int64_t dim)
     : name_(std::move(name)), image_(image), patch_(patch), in_ch_(in_ch),
       dim_(dim), grid_(image / patch), tokens_(grid_ * grid_ + 1),
-      weight_(Shape{dim, in_ch * patch * patch}, DType::kF32),
-      bias_(Shape{dim}, DType::kF32),
+      proj_(in_ch * patch * patch, dim),
       cls_token_(Shape{dim}, DType::kF32),
       pos_embed_(Shape{tokens_, dim}, DType::kF32) {
   HARVEST_CHECK_MSG(image % patch == 0, "image must divide into patches");
@@ -248,56 +334,33 @@ Tensor PatchEmbed::forward(const Tensor& input) {
                          in_ch_, image_, grid_, patch_);
   }
 
-  if (!packed_.empty() && packs_stale_) prepare();
   const float* pos = pos_embed_.f32();
   const float* cls = cls_token_.f32();
+  GemmEpilogue epilogue;
+  epilogue.add_c = pos + dim_;  // positional rows of the patch tokens
+  epilogue.add_ld = dim_;
   for (std::int64_t b = 0; b < n; ++b) {
     float* out_tokens = output.f32() + b * tokens_ * dim_;
     // CLS token plus its positional row; the patch tokens get their
     // positional rows through the GEMM's add_c epilogue, so the
     // separate full-matrix pos-add memory pass is gone.
     for (std::int64_t c = 0; c < dim_; ++c) out_tokens[c] = cls[c] + pos[c];
-    GemmEpilogue epilogue;
-    epilogue.bias_n = bias_.f32();
-    epilogue.add_c = pos + dim_;  // positional rows of the patch tokens
-    epilogue.add_ld = dim_;
-    const float* rows = patch_buf.f32() + b * patches * patch_elems;
-    if (!packed_.empty()) {
-      gemm_prepacked_ex(rows, patch_elems, packed_, out_tokens + dim_, dim_,
-                        patches, /*accumulate=*/false, epilogue);
-    } else {
-      gemm_bt_ex(rows, weight_.f32(), out_tokens + dim_, patches, dim_,
-                 patch_elems, /*accumulate=*/false, epilogue);
-    }
+    proj_.run(patch_buf.f32() + b * patches * patch_elems, out_tokens + dim_,
+              patches, /*accumulate=*/false, epilogue);
   }
   return output;
 }
 
 void PatchEmbed::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
-  const std::int64_t patches = grid_ * grid_;
-  out.push_back(cost::dense(name_ + ".proj", batch * patches,
-                            in_ch_ * patch_ * patch_, dim_));
+  out.push_back(proj_.cost(name_ + ".proj", batch * grid_ * grid_));
   out.push_back(cost::elementwise(name_ + ".pos_add", batch * tokens_ * dim_));
 }
 
 void PatchEmbed::collect_params(std::vector<NamedParam>& out) {
-  out.push_back({name_ + ".weight", &weight_});
-  out.push_back({name_ + ".bias", &bias_});
+  if (proj_.quantized()) return;
+  proj_.collect_params(name_, out);
   out.push_back({name_ + ".cls_token", &cls_token_});
   out.push_back({name_ + ".pos_embed", &pos_embed_});
-  packs_stale_ = true;
-}
-
-void PatchEmbed::prepare() {
-  packed_ = GemmPackedB(weight_.f32(), in_ch_ * patch_ * patch_,
-                        /*b_transposed=*/true, dim_, in_ch_ * patch_ * patch_);
-  packs_stale_ = false;
-}
-
-LayerPtr PatchEmbed::make_quantized() {
-  return std::make_unique<QuantizedPatchEmbed>(name_, image_, patch_, in_ch_,
-                                               dim_, weight_, bias_, cls_token_,
-                                               pos_embed_);
 }
 
 // -------------------------------------------------------- TransformerBlock
@@ -309,14 +372,8 @@ TransformerBlock::TransformerBlock(std::string name, std::int64_t dim,
       mlp_hidden_(mlp_hidden), tokens_(tokens),
       ln1_gamma_(Shape{dim}, DType::kF32), ln1_beta_(Shape{dim}, DType::kF32),
       ln2_gamma_(Shape{dim}, DType::kF32), ln2_beta_(Shape{dim}, DType::kF32),
-      w_qkv_(Shape{3 * dim, dim}, DType::kF32),
-      b_qkv_(Shape{3 * dim}, DType::kF32),
-      w_proj_(Shape{dim, dim}, DType::kF32),
-      b_proj_(Shape{dim}, DType::kF32),
-      w_fc1_(Shape{mlp_hidden, dim}, DType::kF32),
-      b_fc1_(Shape{mlp_hidden}, DType::kF32),
-      w_fc2_(Shape{dim, mlp_hidden}, DType::kF32),
-      b_fc2_(Shape{dim}, DType::kF32) {
+      qkv_(dim, 3 * dim), proj_(dim, dim), fc1_(dim, mlp_hidden),
+      fc2_(mlp_hidden, dim) {
   tensor::fill(ln1_gamma_, 1.0f);
   tensor::fill(ln2_gamma_, 1.0f);
 }
@@ -325,59 +382,34 @@ Tensor TransformerBlock::forward(const Tensor& input) {
   const std::int64_t n = input.shape()[0];
   const std::int64_t rows = n * tokens_;
 
-  if (packs_stale_ && !pk_qkv_.empty()) prepare();
-  // Weight-stationary GEMM helper: prepacked panels when prepare() ran,
-  // per-call packing otherwise (identical numerics either way).
-  const auto run_gemm = [](const float* a, const Tensor& w,
-                           const GemmPackedB& pk, float* c, std::int64_t m,
-                           std::int64_t nn, std::int64_t kk, bool accumulate,
-                           const GemmEpilogue& ep) {
-    if (!pk.empty()) {
-      gemm_prepacked_ex(a, kk, pk, c, nn, m, accumulate, ep);
-    } else {
-      gemm_bt_ex(a, w.f32(), c, m, nn, kk, accumulate, ep);
-    }
-  };
-
   Tensor x = Tensor::scratch(input.shape(), DType::kF32);
   std::memcpy(x.f32(), input.f32(),
               static_cast<std::size_t>(input.numel()) * sizeof(float));
+  // Scratch is sized by liveness: `normed` holds LN1's output, then the
+  // attention output, then LN2's; `wide` holds QKV, then the MLP hidden
+  // activations. Each pair is never live at once.
   Tensor normed = Tensor::scratch(input.shape(), DType::kF32);
+  Tensor wide = Tensor::scratch(
+      Shape{rows, std::max(3 * dim_, mlp_hidden_)}, DType::kF32);
   layernorm_rows(x.f32(), normed.f32(), rows, dim_, ln1_gamma_.f32(),
                  ln1_beta_.f32());
-
-  Tensor qkv = Tensor::scratch(Shape{n, tokens_, 3 * dim_}, DType::kF32);
-  GemmEpilogue qkv_ep;
-  qkv_ep.bias_n = b_qkv_.f32();
-  run_gemm(normed.f32(), w_qkv_, pk_qkv_, qkv.f32(), rows, 3 * dim_, dim_,
-           /*accumulate=*/false, qkv_ep);
+  qkv_.run(normed.f32(), wide.f32(), rows, /*accumulate=*/false);
 
   // Flash-style fused attention: the T×T score matrix is never
   // materialized (O(T·head_dim) per-thread scratch, see attention.cpp).
-  Tensor attn_out = Tensor::scratch(Shape{n, tokens_, dim_}, DType::kF32);
-  self_attention_fused_batched(qkv.f32(), attn_out.f32(), n, tokens_, dim_,
+  self_attention_fused_batched(wide.f32(), normed.f32(), n, tokens_, dim_,
                                heads_);
 
   // Residual fused into the projection: x += attn·Wᵀ + b (accumulate
   // GEMM with bias epilogue), dropping the separate temp + add pass.
-  GemmEpilogue proj_ep;
-  proj_ep.bias_n = b_proj_.f32();
-  run_gemm(attn_out.f32(), w_proj_, pk_proj_, x.f32(), rows, dim_, dim_,
-           /*accumulate=*/true, proj_ep);
+  proj_.run(normed.f32(), x.f32(), rows, /*accumulate=*/true);
 
   layernorm_rows(x.f32(), normed.f32(), rows, dim_, ln2_gamma_.f32(),
                  ln2_beta_.f32());
-  Tensor hidden = Tensor::scratch(Shape{n, tokens_, mlp_hidden_}, DType::kF32);
-  GemmEpilogue fc1_ep;
-  fc1_ep.bias_n = b_fc1_.f32();
-  fc1_ep.act = EpilogueAct::kGelu;
-  run_gemm(normed.f32(), w_fc1_, pk_fc1_, hidden.f32(), rows, mlp_hidden_,
-           dim_, /*accumulate=*/false, fc1_ep);
-
-  GemmEpilogue fc2_ep;
-  fc2_ep.bias_n = b_fc2_.f32();
-  run_gemm(hidden.f32(), w_fc2_, pk_fc2_, x.f32(), rows, dim_, mlp_hidden_,
-           /*accumulate=*/true, fc2_ep);
+  GemmEpilogue gelu;
+  gelu.act = EpilogueAct::kGelu;
+  fc1_.run(normed.f32(), wide.f32(), rows, /*accumulate=*/false, gelu);
+  fc2_.run(wide.f32(), x.f32(), rows, /*accumulate=*/true);
   return x;
 }
 
@@ -385,50 +417,41 @@ void TransformerBlock::append_costs(std::int64_t batch,
                                     std::vector<OpCost>& out) const {
   const std::int64_t rows = batch * tokens_;
   out.push_back(cost::norm(name_ + ".ln1", rows * dim_));
-  out.push_back(cost::dense(name_ + ".qkv", rows, dim_, 3 * dim_));
+  out.push_back(qkv_.cost(name_ + ".qkv", rows));
   out.push_back(cost::attention_matmuls(name_ + ".attn", batch, tokens_, dim_));
-  out.push_back(cost::dense(name_ + ".proj", rows, dim_, dim_));
+  out.push_back(proj_.cost(name_ + ".proj", rows));
   out.push_back(cost::elementwise(name_ + ".res1", rows * dim_));
   out.push_back(cost::norm(name_ + ".ln2", rows * dim_));
-  out.push_back(cost::dense(name_ + ".fc1", rows, dim_, mlp_hidden_));
+  out.push_back(fc1_.cost(name_ + ".fc1", rows));
   out.push_back(cost::elementwise(name_ + ".gelu", rows * mlp_hidden_));
-  out.push_back(cost::dense(name_ + ".fc2", rows, mlp_hidden_, dim_));
+  out.push_back(fc2_.cost(name_ + ".fc2", rows));
   out.push_back(cost::elementwise(name_ + ".res2", rows * dim_));
 }
 
 void TransformerBlock::collect_params(std::vector<NamedParam>& out) {
+  if (qkv_.quantized()) return;
   out.push_back({name_ + ".ln1.gamma", &ln1_gamma_});
   out.push_back({name_ + ".ln1.beta", &ln1_beta_});
   out.push_back({name_ + ".ln2.gamma", &ln2_gamma_});
   out.push_back({name_ + ".ln2.beta", &ln2_beta_});
-  out.push_back({name_ + ".qkv.weight", &w_qkv_});
-  out.push_back({name_ + ".qkv.bias", &b_qkv_});
-  out.push_back({name_ + ".proj.weight", &w_proj_});
-  out.push_back({name_ + ".proj.bias", &b_proj_});
-  out.push_back({name_ + ".fc1.weight", &w_fc1_});
-  out.push_back({name_ + ".fc1.bias", &b_fc1_});
-  out.push_back({name_ + ".fc2.weight", &w_fc2_});
-  out.push_back({name_ + ".fc2.bias", &b_fc2_});
-  packs_stale_ = true;
+  qkv_.collect_params(name_ + ".qkv", out);
+  proj_.collect_params(name_ + ".proj", out);
+  fc1_.collect_params(name_ + ".fc1", out);
+  fc2_.collect_params(name_ + ".fc2", out);
 }
 
 void TransformerBlock::prepare() {
-  pk_qkv_ = GemmPackedB(w_qkv_.f32(), dim_, /*b_transposed=*/true, 3 * dim_,
-                        dim_);
-  pk_proj_ = GemmPackedB(w_proj_.f32(), dim_, /*b_transposed=*/true, dim_,
-                         dim_);
-  pk_fc1_ = GemmPackedB(w_fc1_.f32(), dim_, /*b_transposed=*/true, mlp_hidden_,
-                        dim_);
-  pk_fc2_ = GemmPackedB(w_fc2_.f32(), mlp_hidden_, /*b_transposed=*/true, dim_,
-                        mlp_hidden_);
-  packs_stale_ = false;
+  qkv_.prepare();
+  proj_.prepare();
+  fc1_.prepare();
+  fc2_.prepare();
 }
 
-LayerPtr TransformerBlock::make_quantized() {
-  return std::make_unique<QuantizedTransformerBlock>(
-      name_, dim_, heads_, mlp_hidden_, tokens_, ln1_gamma_, ln1_beta_,
-      ln2_gamma_, ln2_beta_, w_qkv_, b_qkv_, w_proj_, b_proj_, w_fc1_, b_fc1_,
-      w_fc2_, b_fc2_);
+void TransformerBlock::quantize() {
+  qkv_.quantize();
+  proj_.quantize();
+  fc1_.quantize();
+  fc2_.quantize();
 }
 
 // --------------------------------------------------------------- ClsPool
@@ -475,26 +498,75 @@ ConvBnRelu::ConvBnRelu(std::string name, Conv2dParams params, std::int64_t in_h,
 }
 
 Tensor ConvBnRelu::forward(const Tensor& input) {
-  Tensor conv_out = conv2d(input, weight_, nullptr, params_, scratch_);
-  const std::int64_t n = conv_out.shape()[0];
-  const std::int64_t hw = out_h_ * out_w_;
-  batchnorm_nchw(conv_out.f32(), conv_out.f32(), n, params_.out_channels, hw,
-                 bn_mean_.f32(), bn_var_.f32(), bn_gamma_.f32(),
-                 bn_beta_.f32());
-  if (relu_) relu_inplace(conv_out.f32(), conv_out.numel());
-  return conv_out;
+  const Shape& s = input.shape();
+  // Both bodies size their buffers from the construction geometry.
+  HARVEST_CHECK_MSG(s.rank() == 4 && s[1] == params_.in_channels &&
+                        s[2] == in_h_ && s[3] == in_w_,
+                    "conv input geometry mismatch");
+  const std::int64_t n = s[0];
+  const std::int64_t out_hw = out_h_ * out_w_;
+  if (!quantized()) {
+    Tensor conv_out = conv2d(input, weight_, nullptr, params_, scratch_);
+    batchnorm_nchw(conv_out.f32(), conv_out.f32(), n, params_.out_channels,
+                   out_hw, bn_mean_.f32(), bn_var_.f32(), bn_gamma_.f32(),
+                   bn_beta_.f32());
+    if (relu_) relu_inplace(conv_out.f32(), conv_out.numel());
+    return conv_out;
+  }
+
+  const std::int64_t patch =
+      params_.in_channels * params_.kernel * params_.kernel;
+  Tensor output(Shape{n, params_.out_channels, out_h_, out_w_}, DType::kF32);
+  Tensor cols = Tensor::scratch(Shape{out_hw, patch});
+  tensor::AlignedBuffer qcols = tensor::AlignedBuffer::scratch(
+      static_cast<std::size_t>(out_hw * patch));
+  Tensor col_scales = Tensor::scratch(Shape{out_hw});
+
+  // A = int8 weights [out_ch, patch], Bᵀ = quantized patch rows
+  // [out_hw, patch]: C[out_ch, out_hw] dequantizes with the folded BN
+  // scale per row (output channel) and the dynamic activation scale per
+  // column (output position). Parallelism lives inside im2row and the
+  // GEMM, so the batch loop stays serial with one scratch set.
+  QGemmEpilogue ep;
+  ep.scale_m = scale_m_.data();
+  ep.scale_n = col_scales.f32();
+  ep.bias_m = bias_m_.data();
+  ep.act = relu_ ? QGemmEpilogue::Act::kRelu : QGemmEpilogue::Act::kNone;
+
+  for (std::int64_t b = 0; b < n; ++b) {
+    const float* img = input.f32() + b * params_.in_channels * in_h_ * in_w_;
+    im2row(img, cols.f32(), params_.in_channels, in_h_, in_w_, params_);
+    quantize_rows(cols.f32(), out_hw, patch, qcols.as<std::int8_t>(),
+                  col_scales.f32());
+    float* out_plane = output.f32() + b * params_.out_channels * out_hw;
+    qgemm_bt_dequant(qweight_.data(), qcols.as<std::int8_t>(), out_plane,
+                     params_.out_channels, out_hw, patch, ep);
+  }
+  return output;
 }
 
 void ConvBnRelu::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
-  out.push_back(cost::conv(name_ + ".conv", batch, out_h_, out_w_,
-                           params_.out_channels, params_.in_channels,
-                           params_.kernel));
   const std::int64_t elems = batch * params_.out_channels * out_h_ * out_w_;
-  out.push_back(cost::norm(name_ + ".bn", elems));
+  if (quantized()) {
+    // BN is folded into the GEMM epilogue, so no separate norm op.
+    OpCost conv = quantized_dense_cost(
+        name_ + ".conv", batch * out_h_ * out_w_,
+        params_.in_channels * params_.kernel * params_.kernel,
+        params_.out_channels);
+    conv.kind = OpKind::kConv;
+    out.push_back(std::move(conv));
+  } else {
+    out.push_back(cost::conv(name_ + ".conv", batch, out_h_, out_w_,
+                             params_.out_channels, params_.in_channels,
+                             params_.kernel));
+    out.push_back(cost::norm(name_ + ".bn", elems));
+  }
+  // With int8 the ReLU rides the epilogue too; it stays a nominal op.
   if (relu_) out.push_back(cost::elementwise(name_ + ".relu", elems));
 }
 
 void ConvBnRelu::collect_params(std::vector<NamedParam>& out) {
+  if (quantized()) return;
   out.push_back({name_ + ".weight", &weight_});
   out.push_back({name_ + ".bn.gamma", &bn_gamma_});
   out.push_back({name_ + ".bn.beta", &bn_beta_});
@@ -502,10 +574,34 @@ void ConvBnRelu::collect_params(std::vector<NamedParam>& out) {
   out.push_back({name_ + ".bn.var", &bn_var_});
 }
 
-LayerPtr ConvBnRelu::make_quantized() {
-  return std::make_unique<QuantizedConvBnRelu>(name_, params_, in_h_, in_w_,
-                                               relu_, weight_, bn_gamma_,
-                                               bn_beta_, bn_mean_, bn_var_);
+void ConvBnRelu::quantize() {
+  if (quantized()) return;
+  const std::int64_t out_ch = params_.out_channels;
+  const std::int64_t patch =
+      params_.in_channels * params_.kernel * params_.kernel;
+  qweight_.resize(static_cast<std::size_t>(out_ch * patch));
+  scale_m_.resize(static_cast<std::size_t>(out_ch));
+  bias_m_.resize(static_cast<std::size_t>(out_ch));
+  // Inference-form BN is an affine per channel: y = conv·g + b with
+  // g = gamma/√(var+eps), b = beta − mean·g. Fold g into the dequant
+  // scale and b into the epilogue bias, matching batchnorm_nchw's eps.
+  constexpr float kBnEps = 1e-5f;
+  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+    const float wscale = quantize_symmetric(
+        {weight_.f32() + oc * patch, static_cast<std::size_t>(patch)},
+        qweight_.data() + oc * patch);
+    const float g =
+        bn_gamma_.f32()[oc] / std::sqrt(bn_var_.f32()[oc] + kBnEps);
+    scale_m_[static_cast<std::size_t>(oc)] = wscale * g;
+    bias_m_[static_cast<std::size_t>(oc)] =
+        bn_beta_.f32()[oc] - bn_mean_.f32()[oc] * g;
+  }
+  weight_ = Tensor();
+  bn_gamma_ = Tensor();
+  bn_beta_ = Tensor();
+  bn_mean_ = Tensor();
+  bn_var_ = Tensor();
+  scratch_ = Tensor();
 }
 
 // ---------------------------------------------------------------- MaxPool
@@ -591,11 +687,11 @@ void Bottleneck::collect_params(std::vector<NamedParam>& out) {
   if (down_) down_->collect_params(out);
 }
 
-LayerPtr Bottleneck::make_quantized() {
-  return std::make_unique<QuantizedBottleneck>(
-      name_, conv1_->make_quantized(), conv2_->make_quantized(),
-      conv3_->make_quantized(), down_ ? down_->make_quantized() : nullptr,
-      mid_ch_ * 4 * out_h() * out_w());
+void Bottleneck::quantize() {
+  conv1_->quantize();
+  conv2_->quantize();
+  conv3_->quantize();
+  if (down_) down_->quantize();
 }
 
 }  // namespace harvest::nn

@@ -3,9 +3,11 @@
 /// \file layers.hpp
 /// Concrete layers: transformer components (patch embedding, transformer
 /// block, CLS pooling) and CNN components (conv+BN+ReLU, pooling,
-/// bottleneck residual block, classifier head). Composite blocks own
-/// their weights directly so forward passes reuse scratch buffers
-/// without allocator churn (Core Guidelines Per.14/Per.15).
+/// bottleneck residual block, classifier head). Layers with GEMM weights
+/// run in fp32 or, after `quantize()`, in INT8 (see nn/quant.hpp).
+/// Composite blocks own their weights directly so forward passes reuse
+/// scratch buffers without allocator churn (Core Guidelines
+/// Per.14/Per.15).
 
 #include <cstdint>
 #include <string>
@@ -14,16 +16,54 @@
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layer.hpp"
+#include "nn/qgemm.hpp"
 
 namespace harvest::nn {
 
-/// Gather the non-overlapping patches of one NCHW image into rows:
-/// dst row p = flattened (c, y, x) block of patch p, p = gy·grid + gx,
-/// so a [grid², in_ch·patch²] matrix ready for the projection GEMM.
-/// Shared by PatchEmbed and its quantized counterpart.
-void gather_image_patches(const float* img, float* dst, std::int64_t in_ch,
-                          std::int64_t image, std::int64_t grid,
-                          std::int64_t patch);
+/// One weight matrix [out, in] plus its bias [out], in fp32 or INT8:
+/// precision is a state of the matrix, not a second class. In fp32 it
+/// runs the packed GEMM, on panels packed once by `prepare()` or packed
+/// per call otherwise. `quantize()` snapshots the weight into int8
+/// panels with one symmetric scale per output row and frees the fp32
+/// weight and panels; from then on each call quantizes the activations
+/// per row into request scratch and makes one fused dequantizing qgemm
+/// call. Shared by every layer that lowers to a dense GEMM; not itself
+/// a Layer.
+class Dense {
+ public:
+  Dense(std::int64_t in_dim, std::int64_t out_dim);
+
+  std::int64_t in_dim() const { return in_dim_; }
+  std::int64_t out_dim() const { return out_dim_; }
+  bool quantized() const { return !qpacked_.empty(); }
+  tensor::Tensor& weight() { return weight_; }  ///< [out, in]; fp32 only
+  tensor::Tensor& bias() { return bias_; }      ///< [out]
+  /// Largest absolute weight quantization error (0 before quantize()).
+  float max_weight_error() const { return max_weight_error_; }
+
+  /// c[rows, out] (+)= act(a[rows, in]·Wᵀ + bias) (+ add_c), with act
+  /// and add_c taken from `epilogue` (its bias fields are ignored: the
+  /// bias is this matrix's own). In int8, add_c requires act kNone.
+  void run(const float* a, float* c, std::int64_t rows, bool accumulate,
+           GemmEpilogue epilogue = {});
+
+  /// The matrix's op at `rows` rows, priced for its precision.
+  OpCost cost(std::string name, std::int64_t rows) const;
+  /// Appends `prefix`.weight and `prefix`.bias (nothing once quantized).
+  void collect_params(const std::string& prefix, std::vector<NamedParam>& out);
+  void prepare();
+  void quantize();
+
+ private:
+  std::int64_t in_dim_, out_dim_;
+  tensor::Tensor weight_;  ///< [out, in]; released by quantize()
+  tensor::Tensor bias_;    ///< [out]
+  GemmPackedB packed_;     ///< AOT-packed fp32 weight (prepare())
+  bool packs_stale_ = false;
+  QGemmPackedB qpacked_;           ///< int8 weight panels (quantize())
+  std::vector<float> row_scales_;  ///< per output row
+  float max_weight_error_ = 0.0f;
+};
 
 /// y = x·Wᵀ + b. Treats input as [rows, in_dim] where rows = numel/in_dim,
 /// so it serves both token sequences [N,T,D] and feature vectors [N,D].
@@ -36,19 +76,17 @@ class Linear final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& input) override;
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
-  void prepare() override;
-  LayerPtr make_quantized() override;
+  void prepare() override { dense_.prepare(); }
+  void quantize() override { dense_.quantize(); }
 
-  tensor::Tensor& weight() { return weight_; }
-  tensor::Tensor& bias() { return bias_; }
+  tensor::Tensor& weight() { return dense_.weight(); }
+  tensor::Tensor& bias() { return dense_.bias(); }
+  float max_weight_error() const { return dense_.max_weight_error(); }
 
  private:
   std::string name_;
-  std::int64_t in_dim_, out_dim_, rows_per_image_;
-  tensor::Tensor weight_;  ///< [out, in]
-  tensor::Tensor bias_;    ///< [out]
-  GemmPackedB packed_;     ///< AOT-packed weight (prepare())
-  bool packs_stale_ = false;
+  std::int64_t rows_per_image_;
+  Dense dense_;
 };
 
 /// Elementwise GELU over any shape.
@@ -92,24 +130,23 @@ class PatchEmbed final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& input) override;
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
-  void prepare() override;
-  LayerPtr make_quantized() override;
+  void prepare() override { proj_.prepare(); }
+  void quantize() override { proj_.quantize(); }
 
   std::int64_t tokens() const { return tokens_; }
 
  private:
   std::string name_;
   std::int64_t image_, patch_, in_ch_, dim_, grid_, tokens_;
-  tensor::Tensor weight_;     ///< [dim, in_ch*patch*patch]
-  tensor::Tensor bias_;       ///< [dim]
+  Dense proj_;                ///< [dim, in_ch*patch*patch]
   tensor::Tensor cls_token_;  ///< [dim]
   tensor::Tensor pos_embed_;  ///< [tokens, dim]
-  GemmPackedB packed_;        ///< AOT-packed projection weight
-  bool packs_stale_ = false;
 };
 
 /// Pre-norm transformer encoder block (ViT style):
 ///   x += proj(attn(LN1(x))); x += fc2(gelu(fc1(LN2(x)))).
+/// In INT8 the four projections run quantized; LayerNorm and the
+/// attention matmuls stay fp32 (memory-bound and softmax-sensitive).
 class TransformerBlock final : public Layer {
  public:
   TransformerBlock(std::string name, std::int64_t dim, std::int64_t heads,
@@ -120,19 +157,16 @@ class TransformerBlock final : public Layer {
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
   void prepare() override;
-  LayerPtr make_quantized() override;
+  void quantize() override;
 
  private:
   std::string name_;
   std::int64_t dim_, heads_, mlp_hidden_, tokens_;
   tensor::Tensor ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
-  tensor::Tensor w_qkv_, b_qkv_;    ///< [3*dim, dim], [3*dim]
-  tensor::Tensor w_proj_, b_proj_;  ///< [dim, dim], [dim]
-  tensor::Tensor w_fc1_, b_fc1_;    ///< [hidden, dim], [hidden]
-  tensor::Tensor w_fc2_, b_fc2_;    ///< [dim, hidden], [dim]
-  // AOT-packed weights (prepare()); empty until first prepare.
-  GemmPackedB pk_qkv_, pk_proj_, pk_fc1_, pk_fc2_;
-  bool packs_stale_ = false;
+  Dense qkv_;   ///< [3*dim, dim]
+  Dense proj_;  ///< [dim, dim]
+  Dense fc1_;   ///< [hidden, dim]
+  Dense fc2_;   ///< [dim, hidden]
 };
 
 /// Select the CLS token: [N, T, D] → [N, D].
@@ -150,7 +184,12 @@ class ClsPool final : public Layer {
 };
 
 /// Convolution + folded BatchNorm + optional ReLU, the CNN workhorse.
-/// BN runs in inference form with stored running statistics.
+/// BN runs in inference form with stored running statistics. In INT8
+/// the input is lowered to rows via im2row ([out_hw, patch]) and
+/// quantized per output position; weights are quantized per output
+/// channel with the BN scale folded into the dequant scale and the BN
+/// shift into the epilogue bias, so conv+BN+ReLU is one int8 GEMM per
+/// image.
 class ConvBnRelu final : public Layer {
  public:
   ConvBnRelu(std::string name, Conv2dParams params, std::int64_t in_h,
@@ -160,19 +199,24 @@ class ConvBnRelu final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& input) override;
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
-  LayerPtr make_quantized() override;
+  void quantize() override;
 
   std::int64_t out_h() const { return out_h_; }
   std::int64_t out_w() const { return out_w_; }
 
  private:
+  bool quantized() const { return !qweight_.empty(); }
+
   std::string name_;
   Conv2dParams params_;
   std::int64_t in_h_, in_w_, out_h_, out_w_;
   bool relu_;
-  tensor::Tensor weight_;  ///< [out_ch, in_ch*k*k]
+  tensor::Tensor weight_;  ///< [out_ch, in_ch*k*k]; fp32 only
   tensor::Tensor bn_gamma_, bn_beta_, bn_mean_, bn_var_;
   tensor::Tensor scratch_;  ///< im2col buffer, reused across calls
+  std::vector<std::int8_t> qweight_;  ///< [out_ch, in_ch*k*k] (quantize())
+  std::vector<float> scale_m_;        ///< weight scale × folded BN scale
+  std::vector<float> bias_m_;         ///< folded BN shift
 };
 
 /// Max pooling layer.
@@ -222,7 +266,7 @@ class Bottleneck final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& input) override;
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
-  LayerPtr make_quantized() override;
+  void quantize() override;
 
   std::int64_t out_channels() const { return mid_ch_ * 4; }
   std::int64_t out_h() const { return conv2_->out_h(); }

@@ -2,47 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
-#include "nn/activations.hpp"
-#include "nn/attention.hpp"
 #include "nn/graph.hpp"
-#include "nn/layers.hpp"
-#include "nn/norm.hpp"
-#include "tensor/ops.hpp"
 
 namespace harvest::nn {
-
-using tensor::DType;
-using tensor::Shape;
-using tensor::Tensor;
-
-namespace {
-
-/// INT8 operand traffic is priced directly: 1 byte per weight or
-/// quantized-activation element (vs the fp16 deployment convention of
-/// cost::kDeployBytesPerElem for fp32 layers).
-constexpr double kInt8BytesPerElem = 1.0;
-
-void reprice_int8(OpCost& op, double rows, double in_dim, double out_dim) {
-  op.weight_bytes = in_dim * out_dim * kInt8BytesPerElem;
-  op.bytes_read = rows * in_dim * kInt8BytesPerElem + op.weight_bytes;
-  op.bytes_written = rows * out_dim * kInt8BytesPerElem;
-}
-
-OpCost quantized_conv_cost(std::string name, std::int64_t batch,
-                           std::int64_t out_h, std::int64_t out_w,
-                           std::int64_t out_ch, std::int64_t in_ch,
-                           std::int64_t kernel) {
-  OpCost op = cost::conv(std::move(name), batch, out_h, out_w, out_ch, in_ch,
-                         kernel);
-  reprice_int8(op, static_cast<double>(batch * out_h * out_w),
-               static_cast<double>(in_ch * kernel * kernel),
-               static_cast<double>(out_ch));
-  return op;
-}
-
-}  // namespace
 
 float quantize_symmetric(std::span<const float> input, std::int8_t* output) {
   float peak = 0.0f;
@@ -79,325 +42,24 @@ void quantize_rows(const float* input, std::int64_t rows, std::int64_t dim,
 OpCost quantized_dense_cost(std::string name, std::int64_t rows,
                             std::int64_t in_dim, std::int64_t out_dim) {
   OpCost op = cost::dense(std::move(name), rows, in_dim, out_dim);
-  reprice_int8(op, static_cast<double>(rows), static_cast<double>(in_dim),
-               static_cast<double>(out_dim));
+  // INT8 operand traffic is priced directly: 1 byte per weight or
+  // quantized-activation element (vs the fp16 deployment convention of
+  // cost::kDeployBytesPerElem for fp32 layers).
+  constexpr double kInt8BytesPerElem = 1.0;
+  const double r = static_cast<double>(rows);
+  const double in = static_cast<double>(in_dim);
+  const double out = static_cast<double>(out_dim);
+  op.weight_bytes = in * out * kInt8BytesPerElem;
+  op.bytes_read = r * in * kInt8BytesPerElem + op.weight_bytes;
+  op.bytes_written = r * out * kInt8BytesPerElem;
   return op;
-}
-
-// -------------------------------------------------------------- QuantDense
-
-QuantDense::QuantDense(const Tensor& weight, const Tensor& bias)
-    : in_dim_(weight.shape()[1]), out_dim_(weight.shape()[0]),
-      row_scales_(static_cast<std::size_t>(out_dim_)),
-      bias_(bias.f32(), bias.f32() + out_dim_) {
-  HARVEST_CHECK_MSG(weight.shape().rank() == 2 && bias.numel() == out_dim_,
-                    "quantized dense geometry mismatch");
-  std::vector<std::int8_t> qweight(
-      static_cast<std::size_t>(in_dim_ * out_dim_));
-  // Per-output-row scales keep the error independent of other rows'
-  // dynamic range.
-  for (std::int64_t r = 0; r < out_dim_; ++r) {
-    const float* row = weight.f32() + r * in_dim_;
-    std::int8_t* qrow = qweight.data() + r * in_dim_;
-    const float scale =
-        quantize_symmetric({row, static_cast<std::size_t>(in_dim_)}, qrow);
-    row_scales_[static_cast<std::size_t>(r)] = scale;
-    for (std::int64_t c = 0; c < in_dim_; ++c) {
-      const float rebuilt = static_cast<float>(qrow[c]) * scale;
-      max_weight_error_ =
-          std::max(max_weight_error_, std::fabs(rebuilt - row[c]));
-    }
-  }
-  // Weights are static: pack into micro-kernel panels once, here, so
-  // forward passes skip the per-call B pack entirely.
-  packed_ = QGemmPackedB(qweight.data(), out_dim_, in_dim_);
-}
-
-void QuantDense::run(const float* input, float* output, std::int64_t rows,
-                     QGemmEpilogue::Act act, bool accumulate,
-                     std::vector<std::int8_t>& qbuf,
-                     std::vector<float>& scale_buf) const {
-  qbuf.resize(static_cast<std::size_t>(rows * in_dim_));
-  scale_buf.resize(static_cast<std::size_t>(rows));
-  quantize_rows(input, rows, in_dim_, qbuf.data(), scale_buf.data());
-  QGemmEpilogue ep;
-  ep.scale_m = scale_buf.data();
-  ep.scale_n = row_scales_.data();
-  ep.bias_n = bias_.data();
-  ep.act = act;
-  ep.accumulate = accumulate;
-  qgemm_prepacked_dequant(qbuf.data(), packed_, output, rows, ep);
-}
-
-// --------------------------------------------------------- QuantizedLinear
-
-QuantizedLinear::QuantizedLinear(std::string name, const Tensor& weight,
-                                 const Tensor& bias,
-                                 std::int64_t rows_per_image,
-                                 QGemmEpilogue::Act act)
-    : name_(std::move(name)), rows_per_image_(rows_per_image),
-      dense_(weight, bias), act_(act) {}
-
-Tensor QuantizedLinear::forward(const Tensor& input) {
-  const std::int64_t rows = input.numel() / dense_.in_dim();
-  Shape out_shape =
-      input.shape().with_dim(input.shape().rank() - 1, dense_.out_dim());
-  Tensor output(out_shape, DType::kF32);
-  dense_.run(input.f32(), output.f32(), rows, act_, /*accumulate=*/false,
-             qinput_, input_scales_);
-  return output;
-}
-
-void QuantizedLinear::append_costs(std::int64_t batch,
-                                   std::vector<OpCost>& out) const {
-  out.push_back(quantized_dense_cost(name_, batch * rows_per_image_,
-                                     dense_.in_dim(), dense_.out_dim()));
-}
-
-// ----------------------------------------------------- QuantizedPatchEmbed
-
-QuantizedPatchEmbed::QuantizedPatchEmbed(std::string name, std::int64_t image,
-                                         std::int64_t patch, std::int64_t in_ch,
-                                         std::int64_t dim, const Tensor& weight,
-                                         const Tensor& bias,
-                                         const Tensor& cls_token,
-                                         const Tensor& pos_embed)
-    : name_(std::move(name)), image_(image), patch_(patch), in_ch_(in_ch),
-      dim_(dim), grid_(image / patch), tokens_(grid_ * grid_ + 1),
-      proj_(weight, bias),
-      cls_token_(cls_token.f32(), cls_token.f32() + dim),
-      pos_embed_(pos_embed.f32(), pos_embed.f32() + tokens_ * dim) {}
-
-Tensor QuantizedPatchEmbed::forward(const Tensor& input) {
-  const Shape& s = input.shape();
-  HARVEST_CHECK_MSG(s.rank() == 4 && s[1] == in_ch_ && s[2] == image_ &&
-                        s[3] == image_,
-                    "patch embed input geometry mismatch");
-  const std::int64_t n = s[0];
-  const std::int64_t patch_elems = in_ch_ * patch_ * patch_;
-  const std::int64_t patches = grid_ * grid_;
-
-  Tensor output(Shape{n, tokens_, dim_}, DType::kF32);
-  patch_buf_.resize(static_cast<std::size_t>(patches * patch_elems));
-
-  for (std::int64_t b = 0; b < n; ++b) {
-    const float* img = input.f32() + b * in_ch_ * image_ * image_;
-    gather_image_patches(img, patch_buf_.data(), in_ch_, image_, grid_, patch_);
-    float* out_tokens = output.f32() + b * tokens_ * dim_;
-    std::memcpy(out_tokens, cls_token_.data(),
-                static_cast<std::size_t>(dim_) * sizeof(float));
-    proj_.run(patch_buf_.data(), out_tokens + dim_, patches,
-              QGemmEpilogue::Act::kNone, /*accumulate=*/false, qbuf_,
-              scale_buf_);
-    const float* pos = pos_embed_.data();
-    for (std::int64_t i = 0; i < tokens_ * dim_; ++i) out_tokens[i] += pos[i];
-  }
-  return output;
-}
-
-void QuantizedPatchEmbed::append_costs(std::int64_t batch,
-                                       std::vector<OpCost>& out) const {
-  const std::int64_t patches = grid_ * grid_;
-  out.push_back(quantized_dense_cost(name_ + ".proj", batch * patches,
-                                     in_ch_ * patch_ * patch_, dim_));
-  out.push_back(cost::elementwise(name_ + ".pos_add", batch * tokens_ * dim_));
-}
-
-// ----------------------------------------------- QuantizedTransformerBlock
-
-QuantizedTransformerBlock::QuantizedTransformerBlock(
-    std::string name, std::int64_t dim, std::int64_t heads,
-    std::int64_t mlp_hidden, std::int64_t tokens, const Tensor& ln1_gamma,
-    const Tensor& ln1_beta, const Tensor& ln2_gamma, const Tensor& ln2_beta,
-    const Tensor& w_qkv, const Tensor& b_qkv, const Tensor& w_proj,
-    const Tensor& b_proj, const Tensor& w_fc1, const Tensor& b_fc1,
-    const Tensor& w_fc2, const Tensor& b_fc2)
-    : name_(std::move(name)), dim_(dim), heads_(heads),
-      mlp_hidden_(mlp_hidden), tokens_(tokens),
-      ln1_gamma_(ln1_gamma.f32(), ln1_gamma.f32() + dim),
-      ln1_beta_(ln1_beta.f32(), ln1_beta.f32() + dim),
-      ln2_gamma_(ln2_gamma.f32(), ln2_gamma.f32() + dim),
-      ln2_beta_(ln2_beta.f32(), ln2_beta.f32() + dim),
-      qkv_(w_qkv, b_qkv), proj_(w_proj, b_proj), fc1_(w_fc1, b_fc1),
-      fc2_(w_fc2, b_fc2) {}
-
-Tensor QuantizedTransformerBlock::forward(const Tensor& input) {
-  const std::int64_t n = input.shape()[0];
-  const std::int64_t rows = n * tokens_;
-
-  Tensor x = input.clone();
-  Tensor normed(input.shape(), DType::kF32);
-  layernorm_rows(x.f32(), normed.f32(), rows, dim_, ln1_gamma_.data(),
-                 ln1_beta_.data());
-
-  Tensor qkv(Shape{n, tokens_, 3 * dim_}, DType::kF32);
-  qkv_.run(normed.f32(), qkv.f32(), rows, QGemmEpilogue::Act::kNone,
-           /*accumulate=*/false, qbuf_, scale_buf_);
-
-  Tensor attn_out(Shape{n, tokens_, dim_}, DType::kF32);
-  self_attention_batched(qkv.f32(), attn_out.f32(), n, tokens_, dim_, heads_);
-
-  // Residual fused into the projection epilogue: x += dequant(attn·Wᵀ)+b.
-  proj_.run(attn_out.f32(), x.f32(), rows, QGemmEpilogue::Act::kNone,
-            /*accumulate=*/true, qbuf_, scale_buf_);
-
-  layernorm_rows(x.f32(), normed.f32(), rows, dim_, ln2_gamma_.data(),
-                 ln2_beta_.data());
-  Tensor hidden(Shape{n, tokens_, mlp_hidden_}, DType::kF32);
-  fc1_.run(normed.f32(), hidden.f32(), rows, QGemmEpilogue::Act::kGelu,
-           /*accumulate=*/false, qbuf_, scale_buf_);
-  fc2_.run(hidden.f32(), x.f32(), rows, QGemmEpilogue::Act::kNone,
-           /*accumulate=*/true, qbuf_, scale_buf_);
-  return x;
-}
-
-void QuantizedTransformerBlock::append_costs(std::int64_t batch,
-                                             std::vector<OpCost>& out) const {
-  const std::int64_t rows = batch * tokens_;
-  out.push_back(cost::norm(name_ + ".ln1", rows * dim_));
-  out.push_back(quantized_dense_cost(name_ + ".qkv", rows, dim_, 3 * dim_));
-  out.push_back(cost::attention_matmuls(name_ + ".attn", batch, tokens_, dim_));
-  out.push_back(quantized_dense_cost(name_ + ".proj", rows, dim_, dim_));
-  out.push_back(cost::elementwise(name_ + ".res1", rows * dim_));
-  out.push_back(cost::norm(name_ + ".ln2", rows * dim_));
-  out.push_back(quantized_dense_cost(name_ + ".fc1", rows, dim_, mlp_hidden_));
-  out.push_back(cost::elementwise(name_ + ".gelu", rows * mlp_hidden_));
-  out.push_back(quantized_dense_cost(name_ + ".fc2", rows, mlp_hidden_, dim_));
-  out.push_back(cost::elementwise(name_ + ".res2", rows * dim_));
-}
-
-// ----------------------------------------------------- QuantizedConvBnRelu
-
-QuantizedConvBnRelu::QuantizedConvBnRelu(std::string name, Conv2dParams params,
-                                         std::int64_t in_h, std::int64_t in_w,
-                                         bool relu, const Tensor& weight,
-                                         const Tensor& bn_gamma,
-                                         const Tensor& bn_beta,
-                                         const Tensor& bn_mean,
-                                         const Tensor& bn_var)
-    : name_(std::move(name)), params_(params), in_h_(in_h), in_w_(in_w),
-      out_h_(conv_out_extent(in_h, params.kernel, params.stride,
-                             params.padding)),
-      out_w_(conv_out_extent(in_w, params.kernel, params.stride,
-                             params.padding)),
-      relu_(relu) {
-  const std::int64_t out_ch = params_.out_channels;
-  const std::int64_t patch =
-      params_.in_channels * params_.kernel * params_.kernel;
-  qweight_.resize(static_cast<std::size_t>(out_ch * patch));
-  scale_m_.resize(static_cast<std::size_t>(out_ch));
-  bias_m_.resize(static_cast<std::size_t>(out_ch));
-  // Inference-form BN is an affine per channel: y = conv·g + b with
-  // g = gamma/√(var+eps), b = beta − mean·g. Fold g into the dequant
-  // scale and b into the epilogue bias, matching batchnorm_nchw's eps.
-  constexpr float kBnEps = 1e-5f;
-  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-    const float* row = weight.f32() + oc * patch;
-    std::int8_t* qrow = qweight_.data() + oc * patch;
-    const float wscale =
-        quantize_symmetric({row, static_cast<std::size_t>(patch)}, qrow);
-    for (std::int64_t c = 0; c < patch; ++c) {
-      const float rebuilt = static_cast<float>(qrow[c]) * wscale;
-      max_weight_error_ =
-          std::max(max_weight_error_, std::fabs(rebuilt - row[c]));
-    }
-    const float g =
-        bn_gamma.f32()[oc] / std::sqrt(bn_var.f32()[oc] + kBnEps);
-    scale_m_[static_cast<std::size_t>(oc)] = wscale * g;
-    bias_m_[static_cast<std::size_t>(oc)] =
-        bn_beta.f32()[oc] - bn_mean.f32()[oc] * g;
-  }
-}
-
-Tensor QuantizedConvBnRelu::forward(const Tensor& input) {
-  const Shape& s = input.shape();
-  HARVEST_CHECK_MSG(s.rank() == 4 && s[1] == params_.in_channels,
-                    "quantized conv input geometry mismatch");
-  const std::int64_t n = s[0];
-  const std::int64_t h = s[2];
-  const std::int64_t w = s[3];
-  const std::int64_t out_hw = out_h_ * out_w_;
-  const std::int64_t patch =
-      params_.in_channels * params_.kernel * params_.kernel;
-
-  Tensor output(Shape{n, params_.out_channels, out_h_, out_w_}, DType::kF32);
-  cols_.resize(static_cast<std::size_t>(out_hw * patch));
-  qcols_.resize(cols_.size());
-  col_scales_.resize(static_cast<std::size_t>(out_hw));
-
-  // A = int8 weights [out_ch, patch], Bᵀ = quantized patch rows
-  // [out_hw, patch]: C[out_ch, out_hw] dequantizes with the folded BN
-  // scale per row (output channel) and the dynamic activation scale per
-  // column (output position). Parallelism lives inside im2row and the
-  // GEMM, so the batch loop stays serial with one reused scratch set.
-  QGemmEpilogue ep;
-  ep.scale_m = scale_m_.data();
-  ep.scale_n = col_scales_.data();
-  ep.bias_m = bias_m_.data();
-  ep.act = relu_ ? QGemmEpilogue::Act::kRelu : QGemmEpilogue::Act::kNone;
-
-  for (std::int64_t b = 0; b < n; ++b) {
-    const float* img = input.f32() + b * params_.in_channels * h * w;
-    im2row(img, cols_.data(), params_.in_channels, h, w, params_);
-    quantize_rows(cols_.data(), out_hw, patch, qcols_.data(),
-                  col_scales_.data());
-    float* out_plane = output.f32() + b * params_.out_channels * out_hw;
-    qgemm_bt_dequant(qweight_.data(), qcols_.data(), out_plane,
-                     params_.out_channels, out_hw, patch, ep);
-  }
-  return output;
-}
-
-void QuantizedConvBnRelu::append_costs(std::int64_t batch,
-                                       std::vector<OpCost>& out) const {
-  out.push_back(quantized_conv_cost(name_ + ".conv", batch, out_h_, out_w_,
-                                    params_.out_channels, params_.in_channels,
-                                    params_.kernel));
-  const std::int64_t elems = batch * params_.out_channels * out_h_ * out_w_;
-  // BN is folded into the GEMM epilogue; only the optional ReLU remains
-  // a nominal elementwise op (also fused, but kept for op parity).
-  if (relu_) out.push_back(cost::elementwise(name_ + ".relu", elems));
-}
-
-// ----------------------------------------------------- QuantizedBottleneck
-
-QuantizedBottleneck::QuantizedBottleneck(std::string name, LayerPtr conv1,
-                                         LayerPtr conv2, LayerPtr conv3,
-                                         LayerPtr down,
-                                         std::int64_t res_elems_per_image)
-    : name_(std::move(name)), conv1_(std::move(conv1)),
-      conv2_(std::move(conv2)), conv3_(std::move(conv3)),
-      down_(std::move(down)), res_elems_per_image_(res_elems_per_image) {}
-
-Tensor QuantizedBottleneck::forward(const Tensor& input) {
-  Tensor out = conv3_->forward(conv2_->forward(conv1_->forward(input)));
-  if (down_) {
-    Tensor identity = down_->forward(input);
-    tensor::add_inplace(out, identity);
-  } else {
-    tensor::add_inplace(out, input);
-  }
-  relu_inplace(out.f32(), out.numel());
-  return out;
-}
-
-void QuantizedBottleneck::append_costs(std::int64_t batch,
-                                       std::vector<OpCost>& out) const {
-  conv1_->append_costs(batch, out);
-  conv2_->append_costs(batch, out);
-  conv3_->append_costs(batch, out);
-  if (down_) down_->append_costs(batch, out);
-  out.push_back(
-      cost::elementwise(name_ + ".res", batch * res_elems_per_image_));
 }
 
 // ----------------------------------------------------------- quantize_model
 
 void quantize_model(Model& model) {
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (LayerPtr q = model.layer(i).make_quantized()) {
-      model.replace_layer(i, std::move(q));
-    }
+    model.layer(i).quantize();
   }
 }
 

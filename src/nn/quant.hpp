@@ -6,24 +6,23 @@
 /// offer faster inference but may reduce accuracy"). Symmetric
 /// per-output-channel weight quantization with dynamic per-row
 /// activation quantization, the scheme TensorRT's INT8 path uses for
-/// dense layers. Every quantized layer runs through the packed int8
+/// dense layers. Every quantized GEMM runs through the packed int8
 /// kernel in qgemm.hpp with a fused dequantizing epilogue, so the hot
 /// path is one kernel call — no separate quantize/dequantize memory
 /// passes over the accumulators.
 ///
-/// `quantize_model` rewrites a built Model in place, swapping every
-/// layer that has an int8 counterpart (Linear, PatchEmbed,
-/// TransformerBlock, ConvBnRelu, Bottleneck) for its quantized form.
+/// Precision is a state of a layer, not a class: `nn::Dense` (the
+/// weight matrix of Linear, PatchEmbed and TransformerBlock) and
+/// ConvBnRelu switch to int8 in place on `quantize()`, and one forward
+/// body per layer serves both precisions (layers.hpp). This file holds
+/// the quantization arithmetic, the int8 cost pricing and
+/// `quantize_model`, which calls `quantize()` on every layer.
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "nn/conv.hpp"
-#include "nn/layer.hpp"
-#include "nn/qgemm.hpp"
-#include "tensor/tensor.hpp"
+#include "nn/flops.hpp"
 
 namespace harvest::nn {
 
@@ -48,179 +47,9 @@ void quantize_rows(const float* input, std::int64_t rows, std::int64_t dim,
 OpCost quantized_dense_cost(std::string name, std::int64_t rows,
                             std::int64_t in_dim, std::int64_t out_dim);
 
-/// One quantized weight matrix plus the machinery to apply it: weights
-/// packed once into micro-kernel panels at construction (per-output-row
-/// scales), activations quantized dynamically per row at call time, one
-/// fused qgemm call producing fp32 with bias/activation applied.
-/// Shared by every quantized layer; not itself a Layer.
-class QuantDense {
- public:
-  QuantDense() = default;
-  /// Quantizes and packs `weight` [out,in]; copies `bias` [out].
-  QuantDense(const tensor::Tensor& weight, const tensor::Tensor& bias);
-
-  std::int64_t in_dim() const { return in_dim_; }
-  std::int64_t out_dim() const { return out_dim_; }
-  /// Largest absolute weight quantization error (diagnostics/tests).
-  float max_weight_error() const { return max_weight_error_; }
-
-  /// output[rows, out] (+)= act(dequant(q(input) · Wᵀ) + bias). `qbuf`
-  /// and `scale_buf` are caller-owned scratch, resized as needed and
-  /// intended to live across calls (no per-forward allocation).
-  void run(const float* input, float* output, std::int64_t rows,
-           QGemmEpilogue::Act act, bool accumulate,
-           std::vector<std::int8_t>& qbuf,
-           std::vector<float>& scale_buf) const;
-
- private:
-  std::int64_t in_dim_ = 0, out_dim_ = 0;
-  QGemmPackedB packed_;            ///< weight panels, packed once
-  std::vector<float> row_scales_;  ///< per output row
-  std::vector<float> bias_;
-  float max_weight_error_ = 0.0f;
-};
-
-/// A Linear layer executing in INT8: weights are quantized and packed
-/// once at construction, activations dynamically per row at inference
-/// time. Output = fused dequant + bias (+ optional activation).
-class QuantizedLinear final : public Layer {
- public:
-  /// Quantizes `weight` [out,in] and copies `bias` [out].
-  QuantizedLinear(std::string name, const tensor::Tensor& weight,
-                  const tensor::Tensor& bias, std::int64_t rows_per_image,
-                  QGemmEpilogue::Act act = QGemmEpilogue::Act::kNone);
-
-  const std::string& name() const override { return name_; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
-  void collect_params(std::vector<NamedParam>&) override {}  // frozen
-
-  float max_weight_error() const { return dense_.max_weight_error(); }
-
- private:
-  std::string name_;
-  std::int64_t rows_per_image_;
-  QuantDense dense_;
-  QGemmEpilogue::Act act_;
-  std::vector<std::int8_t> qinput_;   ///< per-layer scratch, reused
-  std::vector<float> input_scales_;   ///< per-layer scratch, reused
-};
-
-/// PatchEmbed with the patch projection running in INT8; CLS token and
-/// positional embeddings stay fp32 (memory-bound, no GEMM).
-class QuantizedPatchEmbed final : public Layer {
- public:
-  QuantizedPatchEmbed(std::string name, std::int64_t image, std::int64_t patch,
-                      std::int64_t in_ch, std::int64_t dim,
-                      const tensor::Tensor& weight, const tensor::Tensor& bias,
-                      const tensor::Tensor& cls_token,
-                      const tensor::Tensor& pos_embed);
-
-  const std::string& name() const override { return name_; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
-  void collect_params(std::vector<NamedParam>&) override {}  // frozen
-
- private:
-  std::string name_;
-  std::int64_t image_, patch_, in_ch_, dim_, grid_, tokens_;
-  QuantDense proj_;
-  std::vector<float> cls_token_, pos_embed_;
-  std::vector<float> patch_buf_;
-  std::vector<std::int8_t> qbuf_;
-  std::vector<float> scale_buf_;
-};
-
-/// Transformer block with all four projections (qkv, proj, fc1, fc2) in
-/// INT8. LayerNorm and the attention matmuls stay fp32 — they are
-/// memory-bound and softmax-sensitive respectively; the dense layers
-/// are where the MACs (and the int8 win) live. GELU and both residual
-/// adds ride the fused epilogues, exactly like the fp32 block.
-class QuantizedTransformerBlock final : public Layer {
- public:
-  QuantizedTransformerBlock(
-      std::string name, std::int64_t dim, std::int64_t heads,
-      std::int64_t mlp_hidden, std::int64_t tokens,
-      const tensor::Tensor& ln1_gamma, const tensor::Tensor& ln1_beta,
-      const tensor::Tensor& ln2_gamma, const tensor::Tensor& ln2_beta,
-      const tensor::Tensor& w_qkv, const tensor::Tensor& b_qkv,
-      const tensor::Tensor& w_proj, const tensor::Tensor& b_proj,
-      const tensor::Tensor& w_fc1, const tensor::Tensor& b_fc1,
-      const tensor::Tensor& w_fc2, const tensor::Tensor& b_fc2);
-
-  const std::string& name() const override { return name_; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
-  void collect_params(std::vector<NamedParam>&) override {}  // frozen
-
- private:
-  std::string name_;
-  std::int64_t dim_, heads_, mlp_hidden_, tokens_;
-  std::vector<float> ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
-  QuantDense qkv_, proj_, fc1_, fc2_;
-  std::vector<std::int8_t> qbuf_;
-  std::vector<float> scale_buf_;
-};
-
-/// Conv + folded BatchNorm + optional ReLU in INT8. The input is
-/// lowered to rows via im2row ([out_hw, patch]) and quantized per
-/// output position; weights are quantized per output channel with the
-/// BN scale folded into the dequant scale and the BN shift into the
-/// epilogue bias, so conv+BN+ReLU is one int8 GEMM per image.
-class QuantizedConvBnRelu final : public Layer {
- public:
-  QuantizedConvBnRelu(std::string name, Conv2dParams params, std::int64_t in_h,
-                      std::int64_t in_w, bool relu,
-                      const tensor::Tensor& weight,
-                      const tensor::Tensor& bn_gamma,
-                      const tensor::Tensor& bn_beta,
-                      const tensor::Tensor& bn_mean,
-                      const tensor::Tensor& bn_var);
-
-  const std::string& name() const override { return name_; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
-  void collect_params(std::vector<NamedParam>&) override {}  // frozen
-
-  std::int64_t out_h() const { return out_h_; }
-  std::int64_t out_w() const { return out_w_; }
-
- private:
-  std::string name_;
-  Conv2dParams params_;
-  std::int64_t in_h_, in_w_, out_h_, out_w_;
-  bool relu_;
-  std::vector<std::int8_t> qweight_;  ///< [out_ch, in_ch*k*k]
-  std::vector<float> scale_m_;        ///< weight scale × folded BN scale
-  std::vector<float> bias_m_;         ///< folded BN shift
-  float max_weight_error_ = 0.0f;
-  std::vector<float> cols_;           ///< im2row scratch, reused
-  std::vector<std::int8_t> qcols_;
-  std::vector<float> col_scales_;
-};
-
-/// Bottleneck whose convolutions have been quantized; residual add and
-/// final ReLU stay fp32.
-class QuantizedBottleneck final : public Layer {
- public:
-  QuantizedBottleneck(std::string name, LayerPtr conv1, LayerPtr conv2,
-                      LayerPtr conv3, LayerPtr down,
-                      std::int64_t res_elems_per_image);
-
-  const std::string& name() const override { return name_; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
-  void collect_params(std::vector<NamedParam>&) override {}  // frozen
-
- private:
-  std::string name_;
-  LayerPtr conv1_, conv2_, conv3_, down_;
-  std::int64_t res_elems_per_image_;
-};
-
-/// Rewrite `model` in place: every layer whose `make_quantized()`
-/// returns a replacement is swapped for its INT8 counterpart. Call
-/// after init_weights/load_weights — quantization snapshots the weights.
+/// Switch `model` to INT8 in place: calls every layer's `quantize()`.
+/// Call after init_weights/load_weights — quantization snapshots the
+/// weights and frees the fp32 copies.
 void quantize_model(Model& model);
 
 }  // namespace harvest::nn

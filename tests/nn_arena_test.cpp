@@ -8,6 +8,7 @@
 #include "nn/graph.hpp"
 #include "nn/init.hpp"
 #include "nn/models.hpp"
+#include "nn/quant.hpp"
 #include "tensor/buffer.hpp"
 #include "tensor/tensor.hpp"
 
@@ -129,13 +130,15 @@ TEST(ArenaScope, ScratchTensorsLandInTheBoundArena) {
 
 // ------------------------------------------------------- zero-malloc gate
 
-/// The tentpole acceptance gate: after warm-up, a ViT forward under a
-/// request ArenaScope performs ZERO heap allocations — not just zero
+/// The zero-malloc gate: after warm-up, a ViT forward under a request
+/// ArenaScope performs ZERO heap allocations — not just zero
 /// tensor-buffer allocations (AlignedBuffer's counter) but zero calls
-/// to global operator new anywhere in the layer stack.
-TEST(ZeroMallocGate, SteadyStateVitForwardAllocatesNothing) {
+/// to global operator new anywhere in the layer stack — in fp32 and,
+/// on the same layers, in int8.
+void expect_steady_state_vit_forward_allocates_nothing(bool int8) {
   nn::ModelPtr model = nn::build_vit(nn::vit_tiny_config());
   nn::init_weights(*model, 42);
+  if (int8) nn::quantize_model(*model);
   model->prepare();  // AOT weight packing, as the serving load path does
 
   const tensor::Shape& per_image = model->input_shape();
@@ -164,6 +167,14 @@ TEST(ZeroMallocGate, SteadyStateVitForwardAllocatesNothing) {
       << "a tensor buffer bypassed the request arena";
   EXPECT_EQ(g_new_calls, news_before)
       << "steady-state Model::forward hit operator new";
+}
+
+TEST(ZeroMallocGate, SteadyStateVitForwardAllocatesNothing) {
+  expect_steady_state_vit_forward_allocates_nothing(/*int8=*/false);
+}
+
+TEST(ZeroMallocGate, SteadyStateInt8VitForwardAllocatesNothing) {
+  expect_steady_state_vit_forward_allocates_nothing(/*int8=*/true);
 }
 
 }  // namespace

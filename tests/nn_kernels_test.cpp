@@ -17,6 +17,7 @@
 #include "nn/attention.hpp"
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
+#include "nn/layers.hpp"
 #include "nn/norm.hpp"
 #include "tensor/ops.hpp"
 
@@ -676,6 +677,23 @@ TEST(ConvDeathTest, NonPositiveExtentsAreRejected) {
   EXPECT_DEATH(conv_out_extent(0, 1, 1, 0), "in>=1");
   EXPECT_DEATH(conv_out_extent(8, 0, 1, 0), "in>=1");
   EXPECT_DEATH(conv_out_extent(8, 3, 1, -1), "in>=1");
+}
+
+// Regression: the int8 conv sized its im2row scratch from the
+// construction geometry but expanded the input's actual h and w, so a
+// larger input wrote past the buffer. Both precisions now reject an
+// input whose spatial size differs from the construction geometry.
+TEST(ConvDeathTest, ConvBnReluRejectsMismatchedSpatialSize) {
+  for (const bool int8 : {false, true}) {
+    ConvBnRelu layer("conv", Conv2dParams{2, 4, 3, 1, 1}, 6, 6, true);
+    if (int8) layer.quantize();
+    const Tensor larger = Tensor::full(Shape{1, 2, 9, 9}, 0.5f);
+    EXPECT_DEATH(layer.forward(larger), "conv input geometry mismatch")
+        << (int8 ? "int8" : "fp32");
+    const Tensor smaller = Tensor::full(Shape{1, 2, 6, 5}, 0.5f);
+    EXPECT_DEATH(layer.forward(smaller), "conv input geometry mismatch")
+        << (int8 ? "int8" : "fp32");
+  }
 }
 
 TEST(Conv, MaxPoolPicksWindowMax) {

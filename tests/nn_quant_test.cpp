@@ -1,10 +1,16 @@
 #include "nn/quant.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 
 #include "core/rng.hpp"
+#include "nn/attention.hpp"
 #include "nn/gemm.hpp"
 #include "nn/graph.hpp"
 #include "nn/init.hpp"
@@ -79,6 +85,20 @@ TEST(QGemm, MatchesInt32Reference) {
   }
 }
 
+/// An INT8 twin of `reference`: a Linear with a copy of its weights,
+/// then quantized in place.
+Linear quantized_copy(Linear& reference, std::string name,
+                      std::int64_t rows_per_image) {
+  const Shape& w = reference.weight().shape();
+  Linear twin(std::move(name), w[1], w[0], rows_per_image);
+  std::copy_n(reference.weight().f32(), reference.weight().numel(),
+              twin.weight().f32());
+  std::copy_n(reference.bias().f32(), reference.bias().numel(),
+              twin.bias().f32());
+  twin.quantize();
+  return twin;
+}
+
 TEST(QuantizedLinear, TracksFloatLinearClosely) {
   constexpr std::int64_t kIn = 64;
   constexpr std::int64_t kOut = 32;
@@ -89,7 +109,7 @@ TEST(QuantizedLinear, TracksFloatLinearClosely) {
   }
   for (float& v : reference.bias().f32_span()) v = rng.next_float() - 0.5f;
 
-  QuantizedLinear quantized("fc.q", reference.weight(), reference.bias(), 1);
+  Linear quantized = quantized_copy(reference, "fc.q", 1);
 
   Tensor input(Shape{8, kIn}, DType::kF32);
   for (float& v : input.f32_span()) v = (rng.next_float() - 0.5f) * 2.0f;
@@ -116,7 +136,7 @@ TEST(QuantizedLinear, ArgmaxAgreesWithFloatOnSeparatedLogits) {
   Linear reference("fc", kIn, kOut, 1);
   core::Rng rng(4);
   for (float& v : reference.weight().f32_span()) v = rng.next_float() - 0.5f;
-  QuantizedLinear quantized("fc.q", reference.weight(), reference.bias(), 1);
+  Linear quantized = quantized_copy(reference, "fc.q", 1);
   int agreements = 0;
   constexpr int kTrials = 50;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -135,14 +155,14 @@ TEST(QuantizedLinear, WeightErrorBoundedByScales) {
   Linear reference("fc", 16, 4, 1);
   core::Rng rng(5);
   for (float& v : reference.weight().f32_span()) v = rng.next_float();
-  QuantizedLinear quantized("fc.q", reference.weight(), reference.bias(), 1);
+  Linear quantized = quantized_copy(reference, "fc.q", 1);
   // Max row |w| ≤ 1 ⇒ scale ≤ 1/127 ⇒ error ≤ half a step.
   EXPECT_LE(quantized.max_weight_error(), 0.5f / 127.0f + 1e-6f);
 }
 
 TEST(QuantizedLinear, CostsReportOneByteOperands) {
   Linear reference("fc", 8, 4, 2);
-  QuantizedLinear quantized("fc.q", reference.weight(), reference.bias(), 2);
+  Linear quantized = quantized_copy(reference, "fc.q", 2);
   std::vector<OpCost> float_costs;
   std::vector<OpCost> quant_costs;
   reference.append_costs(1, float_costs);
@@ -394,6 +414,112 @@ TEST(QuantizeModel, ResNetTracksFp32Twin) {
   const double agreement = model_agreement(*fp32, *int8, &rel_l2);
   EXPECT_GE(agreement, 0.75);
   EXPECT_LT(rel_l2, 0.05);
+}
+
+// --- thread-count invariance --------------------------------------------
+//
+// Each output element is computed by one thread in a fixed order, so the
+// int8 kernel, the fused attention and whole forwards must not move by
+// one bit with the OpenMP team size. The wide team never exceeds nproc.
+
+template <typename Fn>
+std::vector<float> run_with_threads(int threads, Fn fn) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  std::vector<float> out = fn();
+  omp_set_num_threads(saved);
+  return out;
+}
+
+int wide_team() { return std::min(4, omp_get_num_procs()); }
+
+void expect_same_at_one_and_wide_team(
+    const std::function<std::vector<float>()>& fn) {
+  const std::vector<float> one = run_with_threads(1, fn);
+  const std::vector<float> wide = run_with_threads(wide_team(), fn);
+  ASSERT_EQ(one.size(), wide.size());
+  EXPECT_EQ(std::memcmp(one.data(), wide.data(), one.size() * sizeof(float)),
+            0)
+      << "1 vs " << wide_team() << " threads";
+}
+
+TEST(ThreadInvariance, QGemmPrepackedDequant) {
+  constexpr std::int64_t kM = 130, kN = 200, kK = 300;
+  std::vector<std::int8_t> a(kM * kK);
+  std::vector<std::int8_t> bt(kN * kK);
+  fill_int8(a, 130);
+  fill_int8(bt, 200);
+  const QGemmPackedB packed(bt.data(), kN, kK);
+  core::Rng rng(31);
+  std::vector<float> scale_m(kM), scale_n(kN), bias_n(kN), start(kM * kN);
+  for (float& x : scale_m) x = rng.next_float() * 0.01f + 1e-4f;
+  for (float& x : scale_n) x = rng.next_float() * 0.01f + 1e-4f;
+  for (float& x : bias_n) x = rng.next_float() - 0.5f;
+  for (float& x : start) x = rng.next_float() - 0.5f;
+  for (const bool accumulate : {false, true}) {
+    expect_same_at_one_and_wide_team([&] {
+      QGemmEpilogue ep;
+      ep.scale_m = scale_m.data();
+      ep.scale_n = scale_n.data();
+      ep.bias_n = bias_n.data();
+      ep.act = QGemmEpilogue::Act::kGelu;
+      ep.accumulate = accumulate;
+      std::vector<float> c = start;
+      qgemm_prepacked_dequant(a.data(), packed, c.data(), kM, ep);
+      return c;
+    });
+  }
+}
+
+TEST(ThreadInvariance, FusedAttention) {
+  constexpr std::int64_t kBatch = 3, kTokens = 65, kDim = 96, kHeads = 3;
+  const std::vector<float> qkv =
+      random_vec(static_cast<std::size_t>(kBatch * kTokens * 3 * kDim), 65);
+  expect_same_at_one_and_wide_team([&] {
+    std::vector<float> out(static_cast<std::size_t>(kBatch * kTokens * kDim));
+    self_attention_fused_batched(qkv.data(), out.data(), kBatch, kTokens, kDim,
+                                 kHeads);
+    return out;
+  });
+}
+
+void expect_forward_thread_invariant(Model& model) {
+  const tensor::Shape& per_image = model.input_shape();
+  Tensor input(Shape{3, per_image.dim(0), per_image.dim(1), per_image.dim(2)},
+               DType::kF32);
+  core::Rng rng(23);
+  for (float& v : input.f32_span()) v = rng.next_float() * 2.0f - 1.0f;
+  expect_same_at_one_and_wide_team([&] {
+    const Tensor logits = model.forward(input);
+    return std::vector<float>(logits.f32(), logits.f32() + logits.numel());
+  });
+}
+
+TEST(ThreadInvariance, ModelForwardFp32Vit) {
+  ModelPtr model = build_vit(vit_tiny_config());
+  init_weights(*model, 42);
+  model->prepare();
+  expect_forward_thread_invariant(*model);
+}
+
+TEST(ThreadInvariance, ModelForwardInt8Vit) {
+  ModelPtr model = build_vit(vit_tiny_config());
+  init_weights(*model, 42);
+  quantize_model(*model);
+  model->prepare();
+  expect_forward_thread_invariant(*model);
+}
+
+TEST(ThreadInvariance, ModelForwardInt8ResNet) {
+  ResNetConfig config;
+  config.name = "qresnet";
+  config.image = 32;
+  config.num_classes = 5;
+  config.stage_blocks = {1, 1};
+  ModelPtr model = build_resnet(config);
+  init_weights(*model, 42);
+  quantize_model(*model);
+  expect_forward_thread_invariant(*model);
 }
 
 }  // namespace
