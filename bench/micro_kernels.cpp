@@ -15,6 +15,7 @@
 #include "nn/qgemm.hpp"
 #include "nn/quant.hpp"
 #include "preproc/codec.hpp"
+#include "preproc/pipeline.hpp"
 #include "preproc/transforms.hpp"
 
 namespace {
@@ -144,6 +145,26 @@ void BM_PerspectiveWarp(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PerspectiveWarp)->Arg(256)->Arg(512);
+
+/// The realtime scenario's whole per-frame preprocessing: a 3840×2160 raw
+/// CRSA frame, warped and resized to 224² and normalized into a batch slot.
+void BM_PreprocessCrsa4k(benchmark::State& state) {
+  const preproc::EncodedImage frame = preproc::encode_image(
+      preproc::synthesize_field_image(3840, 2160, 9), preproc::ImageFormat::kRaw);
+  preproc::PreprocSpec spec;
+  spec.output_size = 224;
+  spec.perspective = true;
+  tensor::Tensor batch(tensor::Shape{1, 3, 224, 224}, tensor::DType::kF32);
+  for (auto _ : state) {
+    const core::Status st = preproc::preprocess_into(frame, spec, batch, 0);
+    if (!st.is_ok()) state.SkipWithError(st.to_string().c_str());
+    benchmark::DoNotOptimize(batch.f32());
+    benchmark::ClobberMemory();
+  }
+  state.counters["frames/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PreprocessCrsa4k)->Unit(benchmark::kMillisecond);
 
 void BM_AgJpegDecode(benchmark::State& state) {
   const std::int64_t edge = state.range(0);

@@ -61,4 +61,10 @@ core::Result<Image> decode_agjpeg(const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> encode_raw(const Image& image);
 core::Result<Image> decode_raw(const std::vector<std::uint8_t>& bytes);
 
+/// Validate a raw frame's 16-byte header and payload length and view its
+/// pixels in place, without the copy `decode_raw` makes (which runs the
+/// same checks through this function). The view borrows `bytes`.
+core::Result<PixelView> view_raw(const std::vector<std::uint8_t>& bytes);
+core::Result<PixelView> view_raw(const std::vector<std::uint8_t>&&) = delete;
+
 }  // namespace harvest::preproc

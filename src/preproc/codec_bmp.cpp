@@ -112,7 +112,7 @@ std::vector<std::uint8_t> encode_raw(const Image& image) {
   return out;
 }
 
-core::Result<Image> decode_raw(const std::vector<std::uint8_t>& bytes) {
+core::Result<PixelView> view_raw(const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() < 16) return core::Status::invalid_argument("truncated RAW");
   std::int64_t w = 0;
   std::int64_t h = 0;
@@ -122,11 +122,18 @@ core::Result<Image> decode_raw(const std::vector<std::uint8_t>& bytes) {
     return core::Status::invalid_argument("bad RAW geometry");
   }
   const std::size_t expected = static_cast<std::size_t>(w * h * 3);
-  if (bytes.size() < 16 + expected) {
+  if (bytes.size() - 16 < expected) {
     return core::Status::invalid_argument("truncated RAW payload");
   }
-  Image img(w, h, 3);
-  std::memcpy(img.data(), bytes.data() + 16, expected);
+  return PixelView(bytes.data() + 16, w, h, 3);
+}
+
+core::Result<Image> decode_raw(const std::vector<std::uint8_t>& bytes) {
+  auto view = view_raw(bytes);
+  if (!view.is_ok()) return view.status();
+  const PixelView& pixels = view.value();
+  Image img(pixels.width, pixels.height, pixels.channels);
+  std::memcpy(img.data(), pixels.data, img.byte_size());
   return img;
 }
 

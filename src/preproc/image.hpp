@@ -53,6 +53,30 @@ class Image {
   std::vector<std::uint8_t> pixels_;
 };
 
+/// A read-only window onto interleaved 8-bit pixels (HWC, rows packed)
+/// that something else owns: an `Image`, or the payload of an encoded
+/// raw frame. Made implicitly from an `Image`, as a `string_view` is
+/// from a `string`; it must not outlive the pixels.
+struct PixelView {
+  const std::uint8_t* data = nullptr;
+  std::int64_t width = 0;
+  std::int64_t height = 0;
+  std::int64_t channels = 0;
+
+  PixelView() = default;
+  PixelView(const std::uint8_t* pixels, std::int64_t w, std::int64_t h,
+            std::int64_t c)
+      : data(pixels), width(w), height(h), channels(c) {}
+  PixelView(const Image& image)  // NOLINT(google-explicit-constructor)
+      : data(image.data()), width(image.width()), height(image.height()),
+        channels(image.channels()) {}
+
+  /// The `channels` bytes of pixel (x, y).
+  const std::uint8_t* pixel(std::int64_t x, std::int64_t y) const {
+    return data + (y * width + x) * channels;
+  }
+};
+
 /// Synthesize a deterministic "field plot" image: low-frequency green /
 /// soil gradients plus plant-like blobs and sensor noise. Statistically
 /// closer to agricultural imagery than white noise (and, importantly,

@@ -34,21 +34,26 @@ std::int64_t preproc_output_size(PreprocMethod method,
 core::Status preprocess_into(const EncodedImage& encoded,
                              const PreprocSpec& spec, Tensor& dst,
                              std::int64_t slot) {
-  auto decoded = decode_image(encoded);
-  if (!decoded.is_ok()) return decoded.status();
-  Image image = std::move(decoded).value();
-
-  if (spec.perspective) {
-    const Homography h = crsa_rectification(image.width(), image.height());
-    auto warped = perspective_warp(image, h, image.width(), image.height());
-    if (!warped.is_ok()) return warped.status();
-    image = std::move(warped).value();
+  // A raw frame is sampled in place; the other containers decode first.
+  Image decoded;
+  PixelView pixels;
+  if (encoded.format == ImageFormat::kRaw) {
+    auto view = view_raw(encoded.bytes);
+    if (!view.is_ok()) return view.status();
+    pixels = view.value();
+  } else {
+    auto image = decode_image(encoded);
+    if (!image.is_ok()) return image.status();
+    decoded = std::move(image).value();
+    pixels = decoded;
   }
-  if (image.width() != spec.output_size || image.height() != spec.output_size) {
-    image = resize(image, spec.output_size, spec.output_size);
+  if (!spec.perspective) {
+    return resize_normalize_into(pixels, nullptr, spec.output_size, spec.norm,
+                                 dst, slot);
   }
-  normalize_into(image, spec.norm, dst, slot);
-  return core::Status::ok();
+  const Homography h = crsa_rectification(pixels.width, pixels.height);
+  return resize_normalize_into(pixels, &h, spec.output_size, spec.norm, dst,
+                               slot);
 }
 
 namespace {

@@ -90,8 +90,10 @@ class DaliPipeline final : public PreprocPipeline {
   core::ThreadPool* pool_;
 };
 
-/// Shared single-image path: decode → optional perspective → resize →
-/// normalize into `dst[slot]`.
+/// Shared single-image path: decode, then the fused optional perspective
+/// → resize → normalize pass (`resize_normalize_into`) into `dst[slot]`.
+/// Raw frames are read in place (`view_raw`), not copied. Fails on a
+/// corrupt image or an output size < 1.
 core::Status preprocess_into(const EncodedImage& encoded,
                              const PreprocSpec& spec, tensor::Tensor& dst,
                              std::int64_t slot);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "preproc/bilinear.hpp"
 
 namespace harvest::preproc {
 
@@ -16,41 +19,32 @@ Image resize(const Image& input, std::int64_t out_w, std::int64_t out_h,
   const std::int64_t in_h = input.height();
   const std::int64_t channels = input.channels();
   Image out(out_w, out_h, channels);
+  if (filter == ResizeFilter::kBilinear) {
+    const PixelView in = input;
+    const std::vector<AxisTap> cols = resize_taps(in_w, out_w);
+    const std::vector<AxisTap> rows = resize_taps(in_h, out_h);
+    for (std::int64_t y = 0; y < out_h; ++y) {
+      for (std::int64_t x = 0; x < out_w; ++x) {
+        bilinear_sample(in, cols[static_cast<std::size_t>(x)],
+                        rows[static_cast<std::size_t>(y)], &out.at(x, y, 0));
+      }
+    }
+    return out;
+  }
 
   const double sx = static_cast<double>(in_w) / static_cast<double>(out_w);
   const double sy = static_cast<double>(in_h) / static_cast<double>(out_h);
-
   for (std::int64_t y = 0; y < out_h; ++y) {
     // Pixel-center sampling.
     const double src_y = (static_cast<double>(y) + 0.5) * sy - 0.5;
+    const std::int64_t iy = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(std::lround(src_y)), 0, in_h - 1);
     for (std::int64_t x = 0; x < out_w; ++x) {
       const double src_x = (static_cast<double>(x) + 0.5) * sx - 0.5;
-      if (filter == ResizeFilter::kNearest) {
-        const std::int64_t ix = std::clamp<std::int64_t>(
-            static_cast<std::int64_t>(std::lround(src_x)), 0, in_w - 1);
-        const std::int64_t iy = std::clamp<std::int64_t>(
-            static_cast<std::int64_t>(std::lround(src_y)), 0, in_h - 1);
-        for (std::int64_t c = 0; c < channels; ++c) {
-          out.at(x, y, c) = input.at(ix, iy, c);
-        }
-        continue;
-      }
-      const double fx = std::clamp(src_x, 0.0, static_cast<double>(in_w - 1));
-      const double fy = std::clamp(src_y, 0.0, static_cast<double>(in_h - 1));
-      const auto x0 = static_cast<std::int64_t>(fx);
-      const auto y0 = static_cast<std::int64_t>(fy);
-      const std::int64_t x1 = std::min(x0 + 1, in_w - 1);
-      const std::int64_t y1 = std::min(y0 + 1, in_h - 1);
-      const double wx = fx - static_cast<double>(x0);
-      const double wy = fy - static_cast<double>(y0);
+      const std::int64_t ix = std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(std::lround(src_x)), 0, in_w - 1);
       for (std::int64_t c = 0; c < channels; ++c) {
-        const double top = static_cast<double>(input.at(x0, y0, c)) * (1 - wx) +
-                           static_cast<double>(input.at(x1, y0, c)) * wx;
-        const double bottom =
-            static_cast<double>(input.at(x0, y1, c)) * (1 - wx) +
-            static_cast<double>(input.at(x1, y1, c)) * wx;
-        out.at(x, y, c) = static_cast<std::uint8_t>(
-            std::clamp(top * (1 - wy) + bottom * wy + 0.5, 0.0, 255.0));
+        out.at(x, y, c) = input.at(ix, iy, c);
       }
     }
   }
@@ -83,25 +77,95 @@ Tensor normalize_to_tensor(const Image& input, const Normalization& n) {
       Shape{input.channels(), input.height(), input.width()});
 }
 
-void normalize_into(const Image& input, const Normalization& n, Tensor& dst,
-                    std::int64_t slot) {
+void normalize_into(const PixelView& input, const Normalization& n,
+                    Tensor& dst, std::int64_t slot) {
   const Shape& s = dst.shape();
-  HARVEST_CHECK_MSG(s.rank() == 4 && s[1] == input.channels() &&
-                        s[2] == input.height() && s[3] == input.width(),
+  HARVEST_CHECK_MSG(s.rank() == 4 && s[1] == input.channels &&
+                        s[2] == input.height && s[3] == input.width,
                     "normalize_into geometry mismatch");
   HARVEST_CHECK_MSG(slot >= 0 && slot < s[0], "batch slot out of range");
-  const std::int64_t hw = input.height() * input.width();
-  float* base = dst.f32() + slot * input.channels() * hw;
-  const std::uint8_t* src = input.data();
-  for (std::int64_t c = 0; c < input.channels(); ++c) {
+  const std::int64_t hw = input.height * input.width;
+  float* base = dst.f32() + slot * input.channels * hw;
+  for (std::int64_t c = 0; c < input.channels; ++c) {
     const float mean = n.mean[static_cast<std::size_t>(c % 3)];
     const float inv_std = 1.0f / n.stddev[static_cast<std::size_t>(c % 3)];
     float* plane = base + c * hw;
     for (std::int64_t i = 0; i < hw; ++i) {
-      const float v = static_cast<float>(src[i * input.channels() + c]) / 255.0f;
-      plane[i] = (v - mean) * inv_std;
+      plane[i] = normalize_u8(input.data[i * input.channels + c], mean, inv_std);
     }
   }
+}
+
+core::Status resize_normalize_into(const PixelView& src,
+                                   const Homography* warp, std::int64_t size,
+                                   const Normalization& n, Tensor& dst,
+                                   std::int64_t slot) {
+  if (size < 1) {
+    return core::Status::invalid_argument(
+        "preprocessing output size must be positive (got " +
+        std::to_string(size) + ")");
+  }
+  if (warp == nullptr && src.width == size && src.height == size) {
+    normalize_into(src, n, dst, slot);
+    return core::Status::ok();
+  }
+  Homography back;
+  if (warp != nullptr) {
+    auto inverse = warp->inverse();
+    if (!inverse.is_ok()) return inverse.status();
+    back = inverse.value();
+  }
+  const Shape& s = dst.shape();
+  const std::int64_t channels = src.channels;
+  HARVEST_CHECK_MSG(s.rank() == 4 && s[1] == channels && s[2] == size &&
+                        s[3] == size,
+                    "resize_normalize_into geometry mismatch");
+  HARVEST_CHECK_MSG(slot >= 0 && slot < s[0], "batch slot out of range");
+
+  // normalize_u8 of every u8 value, per channel.
+  std::vector<float> lut(static_cast<std::size_t>(channels * 256));
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float mean = n.mean[static_cast<std::size_t>(c % 3)];
+    const float inv_std = 1.0f / n.stddev[static_cast<std::size_t>(c % 3)];
+    for (int v = 0; v < 256; ++v) {
+      lut[static_cast<std::size_t>(c * 256 + v)] =
+          normalize_u8(static_cast<std::uint8_t>(v), mean, inv_std);
+    }
+  }
+  // The resize's taps; the warp keeps the frame's size, so they index
+  // the warped frame as well.
+  const std::vector<AxisTap> cols = resize_taps(src.width, size);
+  const std::vector<AxisTap> rows = resize_taps(src.height, size);
+  // The four warped taps of one output pixel (unused without a warp,
+  // where a tap is the source pixel itself).
+  std::vector<std::uint8_t> warped(static_cast<std::size_t>(4 * channels));
+  const std::int64_t hw = size * size;
+  float* base = dst.f32() + slot * channels * hw;
+  for (std::int64_t y = 0; y < size; ++y) {
+    const AxisTap ty = rows[static_cast<std::size_t>(y)];
+    for (std::int64_t x = 0; x < size; ++x) {
+      const AxisTap tx = cols[static_cast<std::size_t>(x)];
+      const std::int64_t tap_x[4] = {tx.i0, tx.i1, tx.i0, tx.i1};
+      const std::int64_t tap_y[4] = {ty.i0, ty.i0, ty.i1, ty.i1};
+      const std::uint8_t* p[4];
+      for (int k = 0; k < 4; ++k) {
+        if (warp == nullptr) {
+          p[k] = src.pixel(tap_x[k], tap_y[k]);
+        } else {
+          std::uint8_t* tap = warped.data() + k * channels;
+          warp_sample(src, back, tap_x[k], tap_y[k], tap);
+          p[k] = tap;
+        }
+      }
+      float* out = base + y * size + x;
+      for (std::int64_t c = 0; c < channels; ++c) {
+        const std::uint8_t v =
+            bilinear_blend(p[0][c], p[1][c], p[2][c], p[3][c], tx.w, ty.w);
+        out[c * hw] = lut[static_cast<std::size_t>(c * 256 + v)];
+      }
+    }
+  }
+  return core::Status::ok();
 }
 
 Homography::Homography() : h_{1, 0, 0, 0, 1, 0, 0, 0, 1} {}
@@ -214,34 +278,11 @@ core::Result<Image> perspective_warp(const Image& input, const Homography& h,
   if (!inverse.is_ok()) return inverse.status();
   const Homography& back = inverse.value();
 
-  Image out(out_w, out_h, input.channels());
-  const std::int64_t in_w = input.width();
-  const std::int64_t in_h = input.height();
+  const PixelView in = input;
+  Image out(out_w, out_h, in.channels);
   for (std::int64_t y = 0; y < out_h; ++y) {
     for (std::int64_t x = 0; x < out_w; ++x) {
-      const auto src =
-          back.apply(static_cast<double>(x), static_cast<double>(y));
-      const double fx = src[0];
-      const double fy = src[1];
-      if (fx < 0.0 || fy < 0.0 || fx > static_cast<double>(in_w - 1) ||
-          fy > static_cast<double>(in_h - 1)) {
-        continue;  // black border
-      }
-      const auto x0 = static_cast<std::int64_t>(fx);
-      const auto y0 = static_cast<std::int64_t>(fy);
-      const std::int64_t x1 = std::min(x0 + 1, in_w - 1);
-      const std::int64_t y1 = std::min(y0 + 1, in_h - 1);
-      const double wx = fx - static_cast<double>(x0);
-      const double wy = fy - static_cast<double>(y0);
-      for (std::int64_t c = 0; c < input.channels(); ++c) {
-        const double top = static_cast<double>(input.at(x0, y0, c)) * (1 - wx) +
-                           static_cast<double>(input.at(x1, y0, c)) * wx;
-        const double bottom =
-            static_cast<double>(input.at(x0, y1, c)) * (1 - wx) +
-            static_cast<double>(input.at(x1, y1, c)) * wx;
-        out.at(x, y, c) = static_cast<std::uint8_t>(
-            std::clamp(top * (1 - wy) + bottom * wy + 0.5, 0.0, 255.0));
-      }
+      warp_sample(in, back, x, y, &out.at(x, y, 0));
     }
   }
   return out;

@@ -38,7 +38,7 @@ tensor::Tensor normalize_to_tensor(const Image& input, const Normalization& n);
 /// Write the normalized image into `dst` at batch slot `slot`; `dst` must
 /// be [N, C, H, W] matching the image geometry. Lets the batched
 /// executor fill one contiguous tensor without staging copies.
-void normalize_into(const Image& input, const Normalization& n,
+void normalize_into(const PixelView& input, const Normalization& n,
                     tensor::Tensor& dst, std::int64_t slot);
 
 /// A 3×3 projective transform mapping source → destination pixels.
@@ -73,6 +73,19 @@ class Homography {
 /// transform" stage.
 core::Result<Image> perspective_warp(const Image& input, const Homography& h,
                                      std::int64_t out_w, std::int64_t out_h);
+
+/// The fused preprocessing pass: writes into `dst[slot]` (a [N, C, size,
+/// size] tensor) exactly the floats of
+///   normalize_into(resize(perspective_warp(src, *warp, w, h), size, size))
+/// with the resize skipped when the frame is already size × size, and
+/// with no warp when `warp` is null. It makes no intermediate image: for
+/// each output pixel it takes the bilinear resize's four taps and
+/// evaluates the warp only at those, so a 4K frame resized to 224² warps
+/// about 2% of its pixels. Fails on `size` < 1 or a singular `warp`.
+core::Status resize_normalize_into(const PixelView& src,
+                                   const Homography* warp, std::int64_t size,
+                                   const Normalization& n, tensor::Tensor& dst,
+                                   std::int64_t slot);
 
 /// The fixed ground-vehicle camera rectification used by the CRSA
 /// pipeline: un-distorts the trapezoidal field-of-view of a forward

@@ -250,6 +250,12 @@ core::Status register_entry(
   if (const core::Json* preproc = entry.find("preproc")) {
     deployment.preproc.output_size = preproc->get_int("output_size", 224);
     deployment.preproc.perspective = preproc->get_bool("perspective", false);
+    if (deployment.preproc.output_size < 1) {
+      return core::Status::invalid_argument(
+          "deployment '" + deployment.name +
+          "' needs preproc.output_size >= 1 (got " +
+          std::to_string(deployment.preproc.output_size) + ")");
+    }
   }
 
   // Resilience keys (docs/RESILIENCE.md): fault injection decorates the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "preproc/image.hpp"
 
@@ -12,10 +13,14 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Builds a small ImageFolder tree under TempDir and removes it after.
+/// Each test gets its own tree: ctest runs the cases as parallel
+/// processes, and a shared one would be removed under a sibling.
 class DirectoryFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "field_data";
+    root_ = fs::path(::testing::TempDir()) /
+            (std::string("field_data_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(root_);
     fs::create_directories(root_ / "blight");
     fs::create_directories(root_ / "healthy");

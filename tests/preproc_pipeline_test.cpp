@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "core/thread_pool.hpp"
 #include "platform/device.hpp"
@@ -109,6 +111,183 @@ TEST(Pipeline, MethodNamesAndOutputSizes) {
   EXPECT_EQ(preproc_output_size(PreprocMethod::kDali32, 224), 32);
   EXPECT_EQ(preproc_output_size(PreprocMethod::kPyTorch, 224), 224);
   EXPECT_EQ(preproc_output_size(PreprocMethod::kCv2, 32), 32);
+}
+
+// ------------------------------------------------- fused preprocessing
+
+tensor::Tensor slot_tensor(std::int64_t size) {
+  return tensor::Tensor(tensor::Shape{1, 3, size, size}, tensor::DType::kF32);
+}
+
+/// The chain the fused pass replaces: decode → warp → resize (when the
+/// size differs) → normalize.
+tensor::Tensor reference_chain(const EncodedImage& encoded,
+                               const Homography* warp, std::int64_t size) {
+  Image image = decode_image(encoded).value();
+  if (warp != nullptr) {
+    image = perspective_warp(image, *warp, image.width(), image.height())
+                .value();
+  }
+  if (image.width() != size || image.height() != size) {
+    image = resize(image, size, size);
+  }
+  tensor::Tensor out = slot_tensor(size);
+  normalize_into(image, Normalization{}, out, 0);
+  return out;
+}
+
+bool same_bytes(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.f32(), b.f32(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// preprocess_into, with and without the CRSA warp, against the chain.
+void expect_preprocess_matches_chain(const EncodedImage& encoded,
+                                     std::int64_t size) {
+  const Homography crsa = crsa_rectification(encoded.width, encoded.height);
+  for (bool perspective : {false, true}) {
+    SCOPED_TRACE(std::string(format_name(encoded.format)) + " " +
+                 std::to_string(encoded.width) + "x" +
+                 std::to_string(encoded.height) + " -> " +
+                 std::to_string(size) + (perspective ? " warped" : ""));
+    PreprocSpec spec;
+    spec.output_size = size;
+    spec.perspective = perspective;
+    tensor::Tensor fused = slot_tensor(size);
+    const core::Status st = preprocess_into(encoded, spec, fused, 0);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_TRUE(same_bytes(
+        fused, reference_chain(encoded, perspective ? &crsa : nullptr, size)));
+  }
+}
+
+/// One CRSA camera frame at the feed's 3840×2160, built once.
+const EncodedImage& crsa_frame() {
+  static const EncodedImage frame = encode_image(
+      synthesize_field_image(3840, 2160, 21), ImageFormat::kRaw);
+  return frame;
+}
+
+std::uint64_t fnv1a64(const tensor::Tensor& t) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(t.f32());
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(t.numel()) * sizeof(float);
+       ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(PreprocessInto, MatchesWarpResizeNormalizeChain) {
+  // The CRSA feed: a warped 4K raw frame to the model's 224².
+  expect_preprocess_matches_chain(crsa_frame(), 224);
+  // Odd geometries, downsampled and upsampled, at every output size the
+  // executors use; 224×224 at 224 takes the no-resize branch.
+  for (const auto& [w, h] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {97, 61}, {1, 1}, {2, 3}, {224, 224}}) {
+    const EncodedImage raw =
+        encode_image(synthesize_field_image(w, h, 40), ImageFormat::kRaw);
+    for (std::int64_t size : {16, 32, 96, 224}) {
+      expect_preprocess_matches_chain(raw, size);
+    }
+  }
+  // Every codec: the non-raw ones decode before the fused pass.
+  const Image image = synthesize_field_image(97, 61, 41);
+  for (ImageFormat format : {ImageFormat::kRaw, ImageFormat::kPpm,
+                             ImageFormat::kBmp, ImageFormat::kAtif,
+                             ImageFormat::kAgJpeg}) {
+    const EncodedImage encoded = encode_image(image, format);
+    for (std::int64_t size : {32, 224}) {
+      expect_preprocess_matches_chain(encoded, size);
+    }
+  }
+  // Homographies other than the CRSA one, through the fused pass itself:
+  // the identity, and a shift that leaves a black border.
+  const Homography identity;
+  const Homography shift({1, 0, 30, 0, 1, -7, 0, 0, 1});
+  for (const Homography* warp : {&identity, &shift}) {
+    for (std::int64_t size : {16, 61, 96, 224}) {
+      SCOPED_TRACE("homography " + std::string(warp == &identity ? "identity"
+                                                                 : "shift") +
+                   " -> " + std::to_string(size));
+      tensor::Tensor fused = slot_tensor(size);
+      ASSERT_TRUE(
+          resize_normalize_into(image, warp, size, Normalization{}, fused, 0)
+              .is_ok());
+      EXPECT_TRUE(same_bytes(
+          fused, reference_chain(encode_image(image, ImageFormat::kRaw), warp,
+                                 size)));
+    }
+  }
+}
+
+TEST(PreprocessInto, CrsaFrameMatchesPinnedDigest) {
+  // The benchmark's reference logits are computed with preprocess_into
+  // itself, so they cannot see a change to the shared bilinear arithmetic.
+  // This digest was taken from the unfused decode → warp → resize →
+  // normalize chain before the two were merged.
+  PreprocSpec spec;
+  spec.perspective = true;
+  tensor::Tensor out = slot_tensor(224);
+  ASSERT_TRUE(preprocess_into(crsa_frame(), spec, out, 0).is_ok());
+  EXPECT_EQ(fnv1a64(out), 0x924d7c03bfb4a8ccULL);
+}
+
+TEST(PreprocessInto, RejectsNonPositiveOutputSize) {
+  const auto batch = make_batch(1, 24, ImageFormat::kRaw);
+  for (std::int64_t size : {0, -4}) {
+    PreprocSpec spec;
+    spec.output_size = size;
+    tensor::Tensor dst(tensor::Shape{1, 3, size, size}, tensor::DType::kF32);
+    const core::Status st = preprocess_into(batch[0], spec, dst, 0);
+    EXPECT_EQ(st.code(), core::StatusCode::kInvalidArgument) << size;
+    CpuPipeline cpu;
+    EXPECT_EQ(cpu.run(batch, spec).status().code(),
+              core::StatusCode::kInvalidArgument)
+        << size;
+  }
+}
+
+TEST(PreprocessInto, HostileRawFailsLikeDecodeRaw) {
+  // Each malformed frame fails in place (view_raw) with the status the
+  // copying decoder gives, never reading past the buffer.
+  auto raw = [](std::int64_t w, std::int64_t h, std::size_t payload) {
+    std::vector<std::uint8_t> bytes(16 + payload, 7);
+    std::memcpy(bytes.data(), &w, 8);
+    std::memcpy(bytes.data() + 8, &h, 8);
+    return bytes;
+  };
+  const std::int64_t too_big = (std::int64_t{1} << 20) + 1;
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> cases = {
+      {"empty", {}},
+      {"short header", std::vector<std::uint8_t>(15, 1)},
+      {"header only", raw(4, 4, 0)},
+      {"truncated payload", raw(4, 4, 4 * 4 * 3 - 1)},
+      {"zero width", raw(0, 4, 48)},
+      {"zero height", raw(4, 0, 48)},
+      {"negative width", raw(-4, 4, 48)},
+      {"negative height", raw(4, -4, 48)},
+      {"width above 2^20", raw(too_big, 1, 64)},
+      {"height above 2^20", raw(1, too_big, 64)},
+  };
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    const core::Status decoded = decode_raw(bytes).status();
+    EXPECT_EQ(decoded.code(), core::StatusCode::kInvalidArgument);
+    EncodedImage encoded;
+    encoded.format = ImageFormat::kRaw;
+    encoded.bytes = bytes;
+    for (bool perspective : {false, true}) {
+      PreprocSpec spec;
+      spec.output_size = 16;
+      spec.perspective = perspective;
+      tensor::Tensor dst = slot_tensor(16);
+      const core::Status st = preprocess_into(encoded, spec, dst, 0);
+      EXPECT_EQ(st.code(), decoded.code());
+      EXPECT_EQ(st.message(), decoded.message());
+    }
+  }
 }
 
 // ------------------------------------------------------------- cost model

@@ -204,5 +204,17 @@ TEST(PerspectiveWarp, CrsaRectificationIsInvertibleAndFillsCenter) {
   EXPECT_GT(nonzero, 150);
 }
 
+TEST(ResizeNormalizeInto, SingularWarpAndEmptySizeRejected) {
+  const Image frame = synthesize_field_image(16, 16, 6);
+  tensor::Tensor dst(tensor::Shape{1, 3, 8, 8}, tensor::DType::kF32);
+  const Homography singular({1, 2, 0, 2, 4, 0, 0, 0, 1});
+  EXPECT_EQ(resize_normalize_into(frame, &singular, 8, Normalization{}, dst, 0)
+                .code(),
+            core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(resize_normalize_into(frame, nullptr, 0, Normalization{}, dst, 0)
+                .code(),
+            core::StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace harvest::preproc

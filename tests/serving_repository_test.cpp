@@ -270,6 +270,27 @@ TEST(Repository, NonPositiveQueueCapacityRejected) {
   EXPECT_NE(status.message().find("queue_capacity > 0"), std::string::npos);
 }
 
+TEST(Repository, NonPositivePreprocOutputSizeRejected) {
+  // Caught at load time with a status; it used to reach the resize's
+  // CHECK on the first request and abort the process.
+  for (const char* size : {"0", "-4"}) {
+    Server server(1);
+    const std::string config =
+        std::string(R"({"models": [{"name": "bad-pre", "backend": "native",
+          "architecture": "vit", "image": 16, "patch": 4, "dim": 16,
+          "depth": 1, "heads": 2, "classes": 4,
+          "preproc": {"output_size": )") +
+        size + "}}]}";
+    const core::Status status = load_repository(server, parse(config.c_str()));
+    ASSERT_FALSE(status.is_ok()) << size;
+    EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("bad-pre"), std::string::npos);
+    EXPECT_NE(status.message().find("preproc.output_size >= 1"),
+              std::string::npos);
+    EXPECT_TRUE(server.model_names().empty());
+  }
+}
+
 TEST(Repository, BadTenantWeightAndQuotaRejected) {
   Server server(1);
   EXPECT_FALSE(load_repository(server, parse(R"({
