@@ -8,8 +8,8 @@
 /// armed, then writes the Chrome trace-event JSON, the Prometheus text
 /// exposition, and prints the per-layer MFU table. The goal is a
 /// load-anything artifact: open the trace in Perfetto and see the
-/// queue → preprocess → inference → respond lifecycle of every request
-/// plus the per-layer spans inside each forward.
+/// queue → preprocess → inference → respond → deliver lifecycle of every
+/// request plus the per-layer spans inside each forward.
 
 #include <chrono>
 #include <cstdio>
@@ -122,7 +122,8 @@ inline bool run_live_characterization(const ObsArtifacts& obs) {
 
     // Submit through the retrying frontend so every request tree carries
     // the full span hierarchy: client_request → request → queue /
-    // preprocess / inference / respond.
+    // preprocess / inference / respond, and client_request → deliver
+    // for each response's trip back to its client thread.
     serving::resilience::RetryPolicy retry;
     retry.max_attempts = 2;
     serving::resilience::RetryingClient client(server, retry);

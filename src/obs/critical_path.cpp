@@ -48,6 +48,7 @@ Segment classify_segment(std::string_view span_name) {
       name_contains(span_name, "uplink") ||
       name_contains(span_name, "downlink") ||
       name_contains(span_name, "respond") ||
+      name_contains(span_name, "deliver") ||
       name_contains(span_name, "offload") ||
       name_contains(span_name, "migrate")) {
     return Segment::kTransmit;

@@ -7,9 +7,11 @@
 /// and a trace id, `critical_path` collects every span stamped with that
 /// id, finds the request's root span, and attributes the end-to-end
 /// latency to segments: time queued, preprocessing, inferring,
-/// transmitting (uplink/respond), and backing off between retry
-/// attempts. The segment sums tile the root span when the pipeline is
-/// sequential; any residue shows up as `unattributed_us` (clock skew,
+/// transmitting (uplink/respond, and `deliver`: the response's trip from
+/// the executor's hand-off back to the client thread), and backing off
+/// between retry attempts. The segment sums tile the root span when the
+/// pipeline is sequential; any residue shows up as `unattributed_us`
+/// (client-side submit overhead before an attempt's `request` span,
 /// gaps between attempts) and overlap (pipelined preprocess) can push
 /// the sum *above* the end-to-end time — both are reported, not hidden.
 

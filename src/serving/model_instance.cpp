@@ -115,6 +115,7 @@ void BatchExecutor::execute(std::vector<PendingRequest> batch,
         "dropped: deadline expired while queued");
     response.timing.queue_s = waited;
     response.timing.total_s = waited;
+    response.handed_off = started;
     metrics_->record(response.timing, RequestOutcome::kDeadlineMissed,
                      pending.request.trace.trace_id);
     tracer.record_instant("dropped_deadline", "serving",
@@ -137,6 +138,7 @@ void BatchExecutor::execute(std::vector<PendingRequest> batch,
       InferenceResponse response;
       response.id = pending.request.id;
       response.status = status;
+      response.handed_off = failed_at;
       metrics_->record(response.timing, RequestOutcome::kFailed,
                        pending.request.trace.trace_id);
       tracer.record_root("request", "serving",
@@ -219,25 +221,31 @@ void BatchExecutor::execute(std::vector<PendingRequest> batch,
                      missed ? RequestOutcome::kDeadlineMissed
                             : RequestOutcome::kOk,
                      pending.request.trace.trace_id);
+    // The response is built: stamp the hand-off. timing.* keeps
+    // `finished` (service time as executed); the trace runs on to here.
+    response.handed_off = std::chrono::steady_clock::now();
     if (pending.request.trace.active()) {
-      // Stage child spans at the exact batch boundaries: together with
-      // the queue span recorded at batch formation, they tile the root
-      // "request" span, so critical-path sums reproduce the end-to-end
-      // latency.
+      // Stage child spans at the exact batch boundaries: with the queue
+      // span recorded at batch formation, queue → preprocess → inference
+      // → respond tile the root "request" span from enqueue to the
+      // hand-off, so critical-path sums reproduce the end-to-end latency.
+      // A client's "deliver" span starts at the same stamp and covers
+      // the rest of the trip (span recording, promise, caller wake-up).
       record_span("preprocess", pending, tracer.to_us(started),
                   tracer.to_us(preproc_done), n);
       record_span("inference", pending, tracer.to_us(preproc_done),
                   tracer.to_us(infer_done), n);
       record_span("respond", pending, tracer.to_us(infer_done),
-                  tracer.to_us(finished), n);
+                  tracer.to_us(response.handed_off), n);
       tracer.record_root("request", "serving",
                          tracer.to_us(pending.enqueued_at),
-                         tracer.to_us(finished), pending.request.trace,
-                         pending.request.id, n);
+                         tracer.to_us(response.handed_off),
+                         pending.request.trace, pending.request.id, n);
     } else {
       tracer.record_complete("request", "serving",
                              tracer.to_us(pending.enqueued_at),
-                             tracer.to_us(finished), pending.request.id, n);
+                             tracer.to_us(response.handed_off),
+                             pending.request.id, n);
     }
     pending.promise.set_value(std::move(response));
   }

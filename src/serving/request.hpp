@@ -6,6 +6,7 @@
 /// locally reads input data and generates requests to the backend");
 /// the dynamic batcher groups requests into engine batches.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,6 +69,12 @@ struct InferenceResponse {
   float confidence = 0.0f;            ///< softmax probability of the argmax
   std::vector<float> logits;          ///< full output row
   RequestTiming timing;
+  /// When the executor handed the response back: stamped just before it
+  /// fulfils the request's promise, after the response is built. The
+  /// server's "request" span ends here and a client's "deliver" span
+  /// starts here, so the response's trip back to the caller is traced.
+  /// Left default when no executor answered (e.g. shed at submit).
+  std::chrono::steady_clock::time_point handed_off{};
 };
 
 }  // namespace harvest::serving

@@ -60,7 +60,8 @@ InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
   obs::TraceRecorder& tracer = obs::TraceRecorder::instance();
   // Client-side trace context: one "client_request" span covers every
   // attempt and backoff of this logical request; each attempt's server
-  // "request" span parents to it. Honors a pre-set trace id.
+  // "request" span and the "deliver" span of its response parent to it.
+  // Honors a pre-set trace id.
   obs::TraceContext client_ctx;
   const auto client_start = std::chrono::steady_clock::now();
   if (tracer.enabled()) {
@@ -80,6 +81,15 @@ InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
     }
     InferenceRequest copy = request;  // the submit path consumes its argument
     response = server_->infer_sync(std::move(copy));
+    if (client_ctx.active() &&
+        response.handed_off != std::chrono::steady_clock::time_point{}) {
+      // The response's trip from the executor's hand-off back to this
+      // thread: promise fulfilment and the caller's wake-up.
+      tracer.record_child("deliver", "serving",
+                          tracer.to_us(response.handed_off),
+                          tracer.to_us(std::chrono::steady_clock::now()),
+                          client_ctx, response.id, attempt);
+    }
     if (response.status.is_ok() ||
         !RetryPolicy::retryable(response.status.code())) {
       finish_trace(client_ctx, client_start, response.id);

@@ -62,8 +62,9 @@ struct RetryPolicy {
 core::Result<RetryPolicy> parse_retry_policy(const core::Json& json);
 
 /// Synchronous retrying frontend. Counts attempts/retries/abandons both
-/// locally and in the deployment's MetricsRegistry, and records a
-/// `retry_backoff` span per backoff when tracing is enabled. Thread-safe.
+/// locally and in the deployment's MetricsRegistry, and, when tracing is
+/// enabled, records a `client_request` root with a `deliver` span per
+/// answered attempt and a `retry_backoff` span per backoff. Thread-safe.
 class RetryingClient {
  public:
   RetryingClient(Server& server, RetryPolicy policy, std::uint64_t seed = 42);

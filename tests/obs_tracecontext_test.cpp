@@ -1,6 +1,7 @@
 /// Trace-context propagation tests: one request must yield one
 /// causally-linked span tree — across the native serving stack
-/// (client_request → request → queue/preprocess/inference/respond),
+/// (client_request → request → queue/preprocess/inference/respond, and
+/// client_request → deliver for the response's trip back to the client),
 /// across retry attempts and degrade failover, and through the DES's
 /// simulated hops — and obs::critical_path must attribute the tree's
 /// end-to-end latency to within the documented residue.
@@ -39,6 +40,8 @@ struct Span {
   std::string name;
   std::uint64_t span_id = 0;
   std::uint64_t parent = 0;
+  double ts_us = 0.0;
+  double dur_us = 0.0;
 };
 
 /// All 'X' spans belonging to `trace_id`, from the parsed export.
@@ -55,6 +58,8 @@ std::vector<Span> spans_of(const core::Json& doc, std::uint64_t trace_id) {
     span.name = event.get_string("name", "");
     span.span_id = static_cast<std::uint64_t>(args->get_int("span_id", 0));
     span.parent = static_cast<std::uint64_t>(args->get_int("parent", 0));
+    span.ts_us = event.get_number("ts", 0.0);
+    span.dur_us = event.get_number("dur", 0.0);
     out.push_back(std::move(span));
   }
   return out;
@@ -150,6 +155,42 @@ TEST(TraceContext, NativeRequestYieldsOneConnectedTree) {
   EXPECT_LT(residue, 0.05) << path.value().to_string();
 }
 
+TEST(TraceContext, ResponseHandOffIsOneStampAcrossRequestRespondDeliver) {
+  TraceRecorder& recorder = TraceRecorder::instance();
+  recorder.enable();
+  recorder.clear();
+  core::Json doc;
+  {
+    serving::Server server(/*preproc_threads=*/1);
+    ASSERT_TRUE(
+        server.register_model(tiny_deployment("vit"), tiny_backend).is_ok());
+    serving::resilience::RetryingClient client(server, {});
+    EXPECT_TRUE(client.infer_sync(tiny_request("vit", 3)).status.is_ok());
+    server.shutdown();
+    doc = parsed_trace();
+  }
+  recorder.disable();
+
+  const std::vector<std::uint64_t> ids = obs::trace_ids(doc);
+  ASSERT_EQ(ids.size(), 1u);
+  std::map<std::string, Span> by_name;
+  for (const Span& s : spans_of(doc, ids.front())) by_name[s.name] = s;
+  for (const char* name : {"request", "respond", "deliver"}) {
+    ASSERT_EQ(by_name.count(name), 1u) << name;
+  }
+  const Span& request = by_name["request"];
+  const Span& respond = by_name["respond"];
+  const Span& deliver = by_name["deliver"];
+  // The executor's hand-off stamp ends the server's request and respond
+  // spans and starts the client's deliver span: no gap, no overlap.
+  const double handed_off = request.ts_us + request.dur_us;
+  EXPECT_NEAR(respond.ts_us + respond.dur_us, handed_off, 1e-3);
+  EXPECT_NEAR(deliver.ts_us, handed_off, 1e-3);
+  // respond covers the response's construction, not an empty instant.
+  EXPECT_GT(respond.dur_us, 0.0);
+  EXPECT_EQ(deliver.parent, by_name["client_request"].span_id);
+}
+
 TEST(TraceContext, RetryAttemptsShareOneTrace) {
   TraceRecorder& recorder = TraceRecorder::instance();
   recorder.enable();
@@ -190,13 +231,16 @@ TEST(TraceContext, RetryAttemptsShareOneTrace) {
   EXPECT_EQ(count_named(spans, "client_request"), 1u);
   EXPECT_EQ(count_named(spans, "request"), 2u);
   EXPECT_EQ(count_named(spans, "retry_backoff"), 1u);
+  // Each answered attempt's hand-off back to the client is traced.
+  EXPECT_EQ(count_named(spans, "deliver"), 2u);
 
   std::uint64_t client_span = 0;
   for (const Span& s : spans) {
     if (s.name == "client_request") client_span = s.span_id;
   }
   for (const Span& s : spans) {
-    if (s.name == "request" || s.name == "retry_backoff") {
+    if (s.name == "request" || s.name == "retry_backoff" ||
+        s.name == "deliver") {
       EXPECT_EQ(s.parent, client_span) << s.name;
     }
   }
@@ -205,6 +249,8 @@ TEST(TraceContext, RetryAttemptsShareOneTrace) {
   ASSERT_TRUE(path.is_ok());
   EXPECT_EQ(path.value().attempts, 2u);
   EXPECT_GT(path.value().segment(obs::Segment::kBackoff), 0.0);
+  EXPECT_GT(path.value().segment(obs::Segment::kTransmit), 0.0);
+  EXPECT_EQ(obs::classify_segment("deliver"), obs::Segment::kTransmit);
 }
 
 TEST(TraceContext, DegradeFailoverStaysInTheSameTree) {
