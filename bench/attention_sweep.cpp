@@ -127,8 +127,8 @@ double check_shape(const AttnShape& s) {
   return max_abs_diff(want, got);
 }
 
-/// Scalar two-pass decode reference (the pre-rework AttnTokenModel
-/// inner loop, std::exp softmax) for the decode kernel check.
+/// Scalar two-pass decode reference (a std::exp softmax over a scores
+/// buffer) for the decode kernel check.
 void decode_reference(const float* q, const float* k_rows, const float* v_rows,
                       std::int64_t pitch, float* out, std::int64_t len,
                       std::int64_t hd, float scale) {

@@ -55,7 +55,7 @@ std::size_t self_attention_fused_scratch_bytes(std::int64_t tokens,
                                                std::int64_t heads);
 
 /// Decode-path fused attention for the KV-cache layout of
-/// `AttnTokenModel::decode_batch`: one query row `q` [head_dim] attends
+/// `TransformerBlock::step`: one query row `q` [head_dim] attends
 /// to `len` cached rows (row pitch `row_pitch` elements; `k_rows` /
 /// `v_rows` point at this head's slice of the cache). Single online
 /// pass — no scores buffer, the running max/denominator/accumulator

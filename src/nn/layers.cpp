@@ -145,10 +145,11 @@ QGemmEpilogue::Act qgemm_act(EpilogueAct act) {
 
 // ----------------------------------------------------------------- Dense
 
-Dense::Dense(std::int64_t in_dim, std::int64_t out_dim)
-    : in_dim_(in_dim), out_dim_(out_dim),
-      weight_(Shape{out_dim, in_dim}, DType::kF32),
-      bias_(Shape{out_dim}, DType::kF32) {}
+Dense::Dense(std::int64_t in_dim, std::int64_t out_dim, bool bias)
+    : in_dim_(in_dim), out_dim_(out_dim), has_bias_(bias),
+      weight_(Shape{out_dim, in_dim}, DType::kF32) {
+  if (has_bias_) bias_ = Tensor(Shape{out_dim}, DType::kF32);
+}
 
 void Dense::run(const float* a, float* c, std::int64_t rows, bool accumulate,
                 GemmEpilogue epilogue) {
@@ -163,7 +164,7 @@ void Dense::run(const float* a, float* c, std::int64_t rows, bool accumulate,
     QGemmEpilogue ep;
     ep.scale_m = scales.f32();
     ep.scale_n = row_scales_.data();
-    ep.bias_n = bias_.f32();
+    ep.bias_n = has_bias_ ? bias_.f32() : nullptr;
     ep.act = qgemm_act(epilogue.act);
     ep.accumulate = accumulate;
     qgemm_prepacked_dequant(qa.as<std::int8_t>(), qpacked_, c, rows, ep);
@@ -176,7 +177,7 @@ void Dense::run(const float* a, float* c, std::int64_t rows, bool accumulate,
     }
     return;
   }
-  epilogue.bias_n = bias_.f32();
+  epilogue.bias_n = has_bias_ ? bias_.f32() : nullptr;
   epilogue.bias_m = nullptr;
   if (!packed_.empty() && packs_stale_) prepare();
   if (!packed_.empty()) {
@@ -198,7 +199,7 @@ void Dense::collect_params(const std::string& prefix,
                            std::vector<NamedParam>& out) {
   if (quantized()) return;
   out.push_back({prefix + ".weight", &weight_});
-  out.push_back({prefix + ".bias", &bias_});
+  if (has_bias_) out.push_back({prefix + ".bias", &bias_});
   packs_stale_ = true;
 }
 
@@ -287,10 +288,12 @@ LayerNorm::LayerNorm(std::string name, std::int64_t dim,
 
 Tensor LayerNorm::forward(const Tensor& input) {
   Tensor output = Tensor::scratch(input.shape(), DType::kF32);
-  const std::int64_t rows = input.numel() / dim_;
-  layernorm_rows(input.f32(), output.f32(), rows, dim_, gamma_.f32(),
-                 beta_.f32());
+  run(input.f32(), output.f32(), input.numel() / dim_);
   return output;
+}
+
+void LayerNorm::run(const float* in, float* out, std::int64_t rows) const {
+  layernorm_rows(in, out, rows, dim_, gamma_.f32(), beta_.f32());
 }
 
 void LayerNorm::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
@@ -378,39 +381,71 @@ TransformerBlock::TransformerBlock(std::string name, std::int64_t dim,
   tensor::fill(ln2_gamma_, 1.0f);
 }
 
-Tensor TransformerBlock::forward(const Tensor& input) {
-  const std::int64_t n = input.shape()[0];
-  const std::int64_t rows = n * tokens_;
-
-  Tensor x = Tensor::scratch(input.shape(), DType::kF32);
-  std::memcpy(x.f32(), input.f32(),
-              static_cast<std::size_t>(input.numel()) * sizeof(float));
+template <class Attend>
+void TransformerBlock::run(float* x, std::int64_t rows, Attend&& attend) {
   // Scratch is sized by liveness: `normed` holds LN1's output, then the
   // attention output, then LN2's; `wide` holds QKV, then the MLP hidden
   // activations. Each pair is never live at once.
-  Tensor normed = Tensor::scratch(input.shape(), DType::kF32);
+  Tensor normed = Tensor::scratch(Shape{rows, dim_}, DType::kF32);
   Tensor wide = Tensor::scratch(
       Shape{rows, std::max(3 * dim_, mlp_hidden_)}, DType::kF32);
-  layernorm_rows(x.f32(), normed.f32(), rows, dim_, ln1_gamma_.f32(),
+  layernorm_rows(x, normed.f32(), rows, dim_, ln1_gamma_.f32(),
                  ln1_beta_.f32());
   qkv_.run(normed.f32(), wide.f32(), rows, /*accumulate=*/false);
-
-  // Flash-style fused attention: the T×T score matrix is never
-  // materialized (O(T·head_dim) per-thread scratch, see attention.cpp).
-  self_attention_fused_batched(wide.f32(), normed.f32(), n, tokens_, dim_,
-                               heads_);
+  attend(static_cast<const float*>(wide.f32()), normed.f32());
 
   // Residual fused into the projection: x += attn·Wᵀ + b (accumulate
   // GEMM with bias epilogue), dropping the separate temp + add pass.
-  proj_.run(normed.f32(), x.f32(), rows, /*accumulate=*/true);
+  proj_.run(normed.f32(), x, rows, /*accumulate=*/true);
 
-  layernorm_rows(x.f32(), normed.f32(), rows, dim_, ln2_gamma_.f32(),
+  layernorm_rows(x, normed.f32(), rows, dim_, ln2_gamma_.f32(),
                  ln2_beta_.f32());
   GemmEpilogue gelu;
   gelu.act = EpilogueAct::kGelu;
   fc1_.run(normed.f32(), wide.f32(), rows, /*accumulate=*/false, gelu);
-  fc2_.run(wide.f32(), x.f32(), rows, /*accumulate=*/true);
+  fc2_.run(wide.f32(), x, rows, /*accumulate=*/true);
+}
+
+Tensor TransformerBlock::forward(const Tensor& input) {
+  const std::int64_t n = input.shape()[0];
+  Tensor x = Tensor::scratch(input.shape(), DType::kF32);
+  std::memcpy(x.f32(), input.f32(),
+              static_cast<std::size_t>(input.numel()) * sizeof(float));
+  run(x.f32(), n * tokens_, [&](const float* qkv, float* out) {
+    // Flash-style fused attention: the T×T score matrix is never
+    // materialized (O(T·head_dim) per-thread scratch, see attention.cpp).
+    self_attention_fused_batched(qkv, out, n, tokens_, dim_, heads_);
+  });
   return x;
+}
+
+void TransformerBlock::step(float* x, std::int64_t rows, std::int64_t count,
+                            float* const* kv_caches, const std::int64_t* slots,
+                            std::int64_t capacity) {
+  const std::int64_t hd = dim_ / heads_;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const auto row_bytes = static_cast<std::size_t>(dim_) * sizeof(float);
+  run(x, rows, [&](const float* qkv, float* out) {
+    for (std::int64_t i = 0; i < rows; ++i) {
+      float* o = out + i * dim_;
+      if (i >= count) {
+        std::memset(o, 0, row_bytes);
+        continue;
+      }
+      float* kc = kv_caches[i];
+      float* vc = kc + capacity * dim_;
+      const float* q = qkv + i * 3 * dim_;
+      const std::int64_t slot = slots[i];
+      std::memcpy(kc + slot * dim_, q + dim_, row_bytes);
+      std::memcpy(vc + slot * dim_, q + 2 * dim_, row_bytes);
+      // One online-softmax pass per head over the cached slots; it is
+      // deterministic per row, so a packed prefill equals step decode.
+      for (std::int64_t h = 0; h < heads_; ++h) {
+        attention_decode_fused(q + h * hd, kc + h * hd, vc + h * hd, dim_,
+                               o + h * hd, slot + 1, hd, scale);
+      }
+    }
+  });
 }
 
 void TransformerBlock::append_costs(std::int64_t batch,

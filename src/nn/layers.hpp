@@ -28,36 +28,40 @@ namespace harvest::nn {
 /// weight and panels; from then on each call quantizes the activations
 /// per row into request scratch and makes one fused dequantizing qgemm
 /// call. Shared by every layer that lowers to a dense GEMM; not itself
-/// a Layer.
+/// a Layer. A matrix built without a bias (RWKV projections, token-model
+/// heads) has no bias tensor and names no `.bias` parameter.
 class Dense {
  public:
-  Dense(std::int64_t in_dim, std::int64_t out_dim);
+  Dense(std::int64_t in_dim, std::int64_t out_dim, bool bias = true);
 
   std::int64_t in_dim() const { return in_dim_; }
   std::int64_t out_dim() const { return out_dim_; }
   bool quantized() const { return !qpacked_.empty(); }
   tensor::Tensor& weight() { return weight_; }  ///< [out, in]; fp32 only
-  tensor::Tensor& bias() { return bias_; }      ///< [out]
+  tensor::Tensor& bias() { return bias_; }      ///< [out]; empty without bias
   /// Largest absolute weight quantization error (0 before quantize()).
   float max_weight_error() const { return max_weight_error_; }
 
   /// c[rows, out] (+)= act(a[rows, in]·Wᵀ + bias) (+ add_c), with act
   /// and add_c taken from `epilogue` (its bias fields are ignored: the
-  /// bias is this matrix's own). In int8, add_c requires act kNone.
+  /// bias is this matrix's own). With `accumulate` each element is
+  /// (acc + c) + bias. In int8, add_c requires act kNone.
   void run(const float* a, float* c, std::int64_t rows, bool accumulate,
            GemmEpilogue epilogue = {});
 
   /// The matrix's op at `rows` rows, priced for its precision.
   OpCost cost(std::string name, std::int64_t rows) const;
-  /// Appends `prefix`.weight and `prefix`.bias (nothing once quantized).
+  /// Appends `prefix`.weight and, with a bias, `prefix`.bias (nothing
+  /// once quantized).
   void collect_params(const std::string& prefix, std::vector<NamedParam>& out);
   void prepare();
   void quantize();
 
  private:
   std::int64_t in_dim_, out_dim_;
+  bool has_bias_;
   tensor::Tensor weight_;  ///< [out, in]; released by quantize()
-  tensor::Tensor bias_;    ///< [out]
+  tensor::Tensor bias_;    ///< [out], or empty without a bias
   GemmPackedB packed_;     ///< AOT-packed fp32 weight (prepare())
   bool packs_stale_ = false;
   QGemmPackedB qpacked_;           ///< int8 weight panels (quantize())
@@ -109,6 +113,8 @@ class LayerNorm final : public Layer {
   LayerNorm(std::string name, std::int64_t dim, std::int64_t rows_per_image);
   const std::string& name() const override { return name_; }
   tensor::Tensor forward(const tensor::Tensor& input) override;
+  /// out[rows, dim] = LN(in[rows, dim]); forward's body on raw rows.
+  void run(const float* in, float* out, std::int64_t rows) const;
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
 
@@ -143,10 +149,13 @@ class PatchEmbed final : public Layer {
   tensor::Tensor pos_embed_;  ///< [tokens, dim]
 };
 
-/// Pre-norm transformer encoder block (ViT style):
+/// Pre-norm transformer block (ViT style):
 ///   x += proj(attn(LN1(x))); x += fc2(gelu(fc1(LN2(x)))).
-/// In INT8 the four projections run quantized; LayerNorm and the
-/// attention matmuls stay fp32 (memory-bound and softmax-sensitive).
+/// One body serves two attention cores: `forward` runs bidirectional
+/// self-attention over each image's tokens, and `step` runs causal
+/// decode against per-row KV caches (the token models). In INT8 the
+/// four projections run quantized; LayerNorm and the attention matmuls
+/// stay fp32 (memory-bound and softmax-sensitive).
 class TransformerBlock final : public Layer {
  public:
   TransformerBlock(std::string name, std::int64_t dim, std::int64_t heads,
@@ -154,12 +163,25 @@ class TransformerBlock final : public Layer {
 
   const std::string& name() const override { return name_; }
   tensor::Tensor forward(const tensor::Tensor& input) override;
+  /// One causal pass over x [rows, dim], in place. Row i < count writes
+  /// its K/V at slot `slots[i]` of the cache `kv_caches[i]` (`capacity`
+  /// K rows, then `capacity` V rows, each [dim]) and attends over slots
+  /// [0, slots[i]]. Pad rows [count, rows) attend to nothing and touch
+  /// no cache, so they never change the other rows' results.
+  void step(float* x, std::int64_t rows, std::int64_t count,
+            float* const* kv_caches, const std::int64_t* slots,
+            std::int64_t capacity);
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
   void prepare() override;
   void quantize() override;
 
  private:
+  /// The body both passes share, on x [rows, dim] in place; `attend(qkv,
+  /// out)` maps the [rows, 3·dim] QKV rows to the [rows, dim] context.
+  template <class Attend>
+  void run(float* x, std::int64_t rows, Attend&& attend);
+
   std::string name_;
   std::int64_t dim_, heads_, mlp_hidden_, tokens_;
   tensor::Tensor ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;

@@ -20,6 +20,7 @@
 
 #include "nn/graph.hpp"
 #include "nn/layer.hpp"
+#include "nn/layers.hpp"
 
 namespace harvest::nn {
 
@@ -28,20 +29,30 @@ class RwkvBlock final : public Layer {
   RwkvBlock(std::string name, std::int64_t dim, std::int64_t tokens);
 
   const std::string& name() const override { return name_; }
+  /// The image pass: `step` over all rows, where each image's `tokens`
+  /// rows share one zeroed num/den slice.
   tensor::Tensor forward(const tensor::Tensor& input) override;
+  /// One stateful pass over x [rows, dim], in place. Row i < count reads
+  /// and updates the WKV state `row_states[i]` ([2·dim]: num, then den);
+  /// rows that share a state are scanned in increasing i, so a run of
+  /// rows on one state is the sequential scan. Pad rows [count, rows)
+  /// mix to zero and touch no state.
+  void step(float* x, std::int64_t rows, std::int64_t count,
+            float* const* row_states);
   void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
   void collect_params(std::vector<NamedParam>& out) override;
+  void prepare() override;
 
  private:
   std::string name_;
   std::int64_t dim_, tokens_;
   tensor::Tensor ln1_gamma_, ln1_beta_, ln2_gamma_, ln2_beta_;
-  // Time mixing: receptance, key, value and output projections plus a
-  // learned per-channel decay in (0, 1).
-  tensor::Tensor w_r_, w_k_, w_v_, w_o_;  ///< each [dim, dim]
-  tensor::Tensor decay_;                  ///< [dim], stored as raw logits
+  // Time mixing: receptance, key, value and output projections (no
+  // biases, RWKV style) plus a learned per-channel decay in (0, 1).
+  Dense r_, k_, v_, o_;    ///< each [dim, dim]
+  tensor::Tensor decay_;   ///< [dim], stored as raw logits
   // Channel mixing: gated two-layer MLP.
-  tensor::Tensor w_ck_, w_cv_, w_cr_;  ///< [4*dim, dim], [dim, 4*dim], [dim, dim]
+  Dense ck_, cv_, cr_;     ///< [4*dim, dim], [dim, 4*dim], [dim, dim]
 };
 
 /// Configuration for an RWKV-style vision classifier (patch embedding +

@@ -1,16 +1,11 @@
 #include "nn/token_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
-#include "core/rng.hpp"
-#include "nn/activations.hpp"
-#include "nn/attention.hpp"
-#include "nn/gemm.hpp"
 #include "nn/init.hpp"
-#include "nn/norm.hpp"
+#include "nn/layers.hpp"
+#include "nn/rwkv.hpp"
 #include "nn/serialize.hpp"
 
 namespace harvest::nn {
@@ -25,8 +20,6 @@ std::int64_t round_up(std::int64_t n, std::int64_t multiple) {
   if (multiple <= 1) return n;
   return ((n + multiple - 1) / multiple) * multiple;
 }
-
-float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 /// Gather embedding rows for the valid tokens; zero the pad rows.
 void embed_rows(const Tensor& table, const std::int32_t* tokens,
@@ -88,32 +81,31 @@ const float* SequenceState::layer(std::int64_t l) const {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// RWKV: per-layer recurrent (num, den) accumulators; the step update is
-// exactly one iteration of RwkvBlock's WKV scan, so batch-prefill and
-// step-decode agree bit-for-bit with the image-model block arithmetic.
-// ---------------------------------------------------------------------------
-
-class RwkvTokenModel final : public TokenModel {
+/// The one token model: embedding (plus learned positions for "attn") →
+/// the image stack's RwkvBlock or TransformerBlock, each stepped against
+/// its layer of the sequence states → final LayerNorm → head. Parameter
+/// names are the image blocks' own under `<name>.block<i>`.
+class LayerTokenModel final : public TokenModel {
  public:
-  explicit RwkvTokenModel(const TokenModelConfig& cfg)
-      : cfg_(cfg), embed_(Shape{cfg.vocab, cfg.dim}, DType::kF32),
-        final_gamma_(Shape{cfg.dim}, DType::kF32),
-        final_beta_(Shape{cfg.dim}, DType::kF32),
-        head_(Shape{cfg.vocab, cfg.dim}, DType::kF32) {
+  explicit LayerTokenModel(const TokenModelConfig& cfg)
+      : cfg_(cfg), attn_(cfg.arch == "attn"),
+        embed_(Shape{cfg.vocab, cfg.dim}, DType::kF32),
+        final_ln_(cfg.name + ".final_ln", cfg.dim, 1),
+        head_(cfg.dim, cfg.vocab, /*bias=*/false) {
     const std::int64_t d = cfg.dim;
-    blocks_.reserve(static_cast<std::size_t>(cfg.depth));
+    if (attn_) {
+      HARVEST_CHECK(cfg.dim % cfg.heads == 0);
+      pos_ = Tensor(Shape{cfg.max_tokens, d}, DType::kF32);
+    }
     for (std::int64_t i = 0; i < cfg.depth; ++i) {
-      Block b{
-          Tensor(Shape{d}, DType::kF32),     Tensor(Shape{d}, DType::kF32),
-          Tensor(Shape{d}, DType::kF32),     Tensor(Shape{d}, DType::kF32),
-          Tensor(Shape{d, d}, DType::kF32),  Tensor(Shape{d, d}, DType::kF32),
-          Tensor(Shape{d, d}, DType::kF32),  Tensor(Shape{d, d}, DType::kF32),
-          Tensor(Shape{d}, DType::kF32),
-          Tensor(Shape{4 * d, d}, DType::kF32),
-          Tensor(Shape{d, 4 * d}, DType::kF32),
-          Tensor(Shape{d, d}, DType::kF32)};
-      blocks_.push_back(std::move(b));
+      std::string name = cfg.name + ".block" + std::to_string(i);
+      if (attn_) {
+        attn_blocks_.push_back(std::make_unique<TransformerBlock>(
+            std::move(name), d, cfg.heads, 4 * d, 1));
+      } else {
+        rwkv_blocks_.push_back(
+            std::make_unique<RwkvBlock>(std::move(name), d, 1));
+      }
     }
   }
 
@@ -121,17 +113,19 @@ class RwkvTokenModel final : public TokenModel {
   const TokenModelConfig& config() const override { return cfg_; }
 
   SequenceStateSpec state_spec() const override {
-    return {StateKind::kRecurrent, cfg_.depth, cfg_.dim, cfg_.max_tokens};
+    return {attn_ ? StateKind::kKvCache : StateKind::kRecurrent, cfg_.depth,
+            cfg_.dim, cfg_.max_tokens};
   }
 
   void prefill(const std::int32_t* tokens, std::int64_t count,
                SequenceState& state, float* logits) override {
     HARVEST_CHECK(count > 0);
-    // All rows belong to one sequence: the row-major WKV walk below is
-    // the batch scan, so a T-token prefill is one packed [T, dim] pass.
-    std::vector<SequenceState*> states(static_cast<std::size_t>(count),
-                                       &state);
-    run(tokens, states.data(), count, count, logits,
+    // All rows feed one state, in order: the packed [T, dim] pass is the
+    // sequential scan, and each row's KV slot follows the one before.
+    tensor::AlignedBuffer states = tensor::AlignedBuffer::scratch(
+        static_cast<std::size_t>(count) * sizeof(SequenceState*));
+    std::fill_n(states.as<SequenceState*>(), count, &state);
+    run(tokens, states.as<SequenceState*>(), count, count, logits,
         /*logits_first_row=*/count - 1);
   }
 
@@ -146,207 +140,27 @@ class RwkvTokenModel final : public TokenModel {
   std::vector<NamedParam> params() override {
     std::vector<NamedParam> out;
     out.push_back({cfg_.name + ".embed.weight", &embed_});
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      Block& b = blocks_[i];
-      const std::string p = cfg_.name + ".block" + std::to_string(i);
-      out.push_back({p + ".ln1.gamma", &b.ln1_gamma});
-      out.push_back({p + ".ln1.beta", &b.ln1_beta});
-      out.push_back({p + ".ln2.gamma", &b.ln2_gamma});
-      out.push_back({p + ".ln2.beta", &b.ln2_beta});
-      out.push_back({p + ".r.weight", &b.w_r});
-      out.push_back({p + ".k.weight", &b.w_k});
-      out.push_back({p + ".v.weight", &b.w_v});
-      out.push_back({p + ".o.weight", &b.w_o});
-      out.push_back({p + ".decay", &b.decay});
-      out.push_back({p + ".ck.weight", &b.w_ck});
-      out.push_back({p + ".cv.weight", &b.w_cv});
-      out.push_back({p + ".cr.weight", &b.w_cr});
-    }
-    out.push_back({cfg_.name + ".final_ln.gamma", &final_gamma_});
-    out.push_back({cfg_.name + ".final_ln.beta", &final_beta_});
-    out.push_back({cfg_.name + ".head.weight", &head_});
+    if (attn_) out.push_back({cfg_.name + ".pos.weight", &pos_});
+    for (auto& block : rwkv_blocks_) block->collect_params(out);
+    for (auto& block : attn_blocks_) block->collect_params(out);
+    final_ln_.collect_params(out);
+    head_.collect_params(cfg_.name + ".head", out);
     return out;
   }
 
-  double macs_per_token(std::int64_t /*cached*/) const override {
-    const double d = static_cast<double>(cfg_.dim);
-    // r,k,v,o (4 d²) + ck (4 d²) + cv (4 d²) + cr (d²) per layer + head.
-    return static_cast<double>(cfg_.depth) * 13.0 * d * d +
-           static_cast<double>(cfg_.vocab) * d;
-  }
-
- private:
-  struct Block {
-    Tensor ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
-    Tensor w_r, w_k, w_v, w_o;
-    Tensor decay;
-    Tensor w_ck, w_cv, w_cr;
-  };
-
-  /// Shared packed pass. `row_states[i]` is the state row i reads and
-  /// updates; rows sharing a state are processed in increasing i, which
-  /// makes prefill the exact batch scan. Pad rows ([count, rows)) are
-  /// zero and stateless. Logits are written for rows
-  /// [logits_first_row, count) into `logits` contiguously.
-  void run(const std::int32_t* tokens, SequenceState* const* row_states,
-           std::int64_t count, std::int64_t rows, float* logits,
-           std::int64_t logits_first_row) {
-    const std::int64_t d = cfg_.dim;
-    std::vector<float> x(static_cast<std::size_t>(rows * d));
-    std::vector<float> normed(x.size()), r(x.size()), k(x.size()), v(x.size());
-    std::vector<float> mixed(x.size()), proj(x.size());
-    std::vector<float> hidden(static_cast<std::size_t>(rows * 4 * d));
-
-    embed_rows(embed_, tokens, count, rows, d, x.data());
-
-    for (std::size_t li = 0; li < blocks_.size(); ++li) {
-      Block& b = blocks_[li];
-      layernorm_rows(x.data(), normed.data(), rows, d, b.ln1_gamma.f32(),
-                     b.ln1_beta.f32());
-      gemm_bt(normed.data(), b.w_r.f32(), r.data(), rows, d, d);
-      gemm_bt(normed.data(), b.w_k.f32(), k.data(), rows, d, d);
-      gemm_bt(normed.data(), b.w_v.f32(), v.data(), rows, d, d);
-
-      const float* decay = b.decay.f32();
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* m = mixed.data() + i * d;
-        if (i >= count) {
-          std::memset(m, 0, static_cast<std::size_t>(d) * sizeof(float));
-          continue;
-        }
-        float* wkv = row_states[i]->layer(static_cast<std::int64_t>(li));
-        float* num = wkv;
-        float* den = wkv + d;
-        const float* kr = k.data() + i * d;
-        const float* vr = v.data() + i * d;
-        const float* rr = r.data() + i * d;
-        for (std::int64_t c = 0; c < d; ++c) {
-          // One step of RwkvBlock's scan, verbatim arithmetic.
-          const float w = sigmoidf(decay[c]);
-          const float ek = std::exp(std::min(kr[c], 20.0f));
-          num[c] = w * num[c] + ek * vr[c];
-          den[c] = w * den[c] + ek;
-          m[c] = sigmoidf(rr[c]) * num[c] / (den[c] + 1e-8f);
-        }
-      }
-
-      gemm_bt(mixed.data(), b.w_o.f32(), proj.data(), rows, d, d);
-      for (std::size_t i = 0; i < x.size(); ++i) x[i] += proj[i];
-
-      layernorm_rows(x.data(), normed.data(), rows, d, b.ln2_gamma.f32(),
-                     b.ln2_beta.f32());
-      gemm_bt(normed.data(), b.w_ck.f32(), hidden.data(), rows, 4 * d, d);
-      for (float& h : hidden) {
-        const float relu = h > 0.0f ? h : 0.0f;
-        h = relu * relu;
-      }
-      gemm_bt(hidden.data(), b.w_cv.f32(), proj.data(), rows, d, 4 * d);
-      gemm_bt(normed.data(), b.w_cr.f32(), mixed.data(), rows, d, d);
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x[i] += proj[i] * sigmoidf(mixed[i]);
-      }
-    }
-
-    for (std::int64_t i = 0; i < count; ++i) row_states[i]->advance();
-
-    const std::int64_t logit_rows = count - logits_first_row;
-    layernorm_rows(x.data() + logits_first_row * d, normed.data(), logit_rows,
-                   d, final_gamma_.f32(), final_beta_.f32());
-    gemm_bt(normed.data(), head_.f32(), logits, logit_rows, cfg_.vocab, d);
-  }
-
-  TokenModelConfig cfg_;
-  Tensor embed_;
-  std::vector<Block> blocks_;
-  Tensor final_gamma_, final_beta_, head_;
-};
-
-// ---------------------------------------------------------------------------
-// Attention: causal decoder with a server-owned per-layer KV-cache.
-// Each processed token appends its K/V rows at slot state.length() and
-// attends over slots [0, length]; the prefix is never recomputed.
-// ---------------------------------------------------------------------------
-
-class AttnTokenModel final : public TokenModel {
- public:
-  explicit AttnTokenModel(const TokenModelConfig& cfg)
-      : cfg_(cfg), embed_(Shape{cfg.vocab, cfg.dim}, DType::kF32),
-        pos_(Shape{cfg.max_tokens, cfg.dim}, DType::kF32),
-        final_gamma_(Shape{cfg.dim}, DType::kF32),
-        final_beta_(Shape{cfg.dim}, DType::kF32),
-        head_(Shape{cfg.vocab, cfg.dim}, DType::kF32) {
-    HARVEST_CHECK(cfg.dim % cfg.heads == 0);
-    const std::int64_t d = cfg.dim;
-    blocks_.reserve(static_cast<std::size_t>(cfg.depth));
-    for (std::int64_t i = 0; i < cfg.depth; ++i) {
-      Block b{Tensor(Shape{d}, DType::kF32),
-              Tensor(Shape{d}, DType::kF32),
-              Tensor(Shape{3 * d, d}, DType::kF32),
-              Tensor(Shape{3 * d}, DType::kF32),
-              Tensor(Shape{d, d}, DType::kF32),
-              Tensor(Shape{d}, DType::kF32),
-              Tensor(Shape{d}, DType::kF32),
-              Tensor(Shape{d}, DType::kF32),
-              Tensor(Shape{4 * d, d}, DType::kF32),
-              Tensor(Shape{4 * d}, DType::kF32),
-              Tensor(Shape{d, 4 * d}, DType::kF32),
-              Tensor(Shape{d}, DType::kF32)};
-      blocks_.push_back(std::move(b));
-    }
-  }
-
-  const std::string& name() const override { return cfg_.name; }
-  const TokenModelConfig& config() const override { return cfg_; }
-
-  SequenceStateSpec state_spec() const override {
-    return {StateKind::kKvCache, cfg_.depth, cfg_.dim, cfg_.max_tokens};
-  }
-
-  void prefill(const std::int32_t* tokens, std::int64_t count,
-               SequenceState& state, float* logits) override {
-    HARVEST_CHECK(count > 0);
-    std::vector<SequenceState*> states(static_cast<std::size_t>(count),
-                                       &state);
-    run(tokens, states.data(), count, count, logits,
-        /*logits_first_row=*/count - 1);
-  }
-
-  void decode_batch(const std::int32_t* last_tokens,
-                    SequenceState* const* states, std::int64_t count,
-                    float* logits, std::int64_t length_multiple_of) override {
-    if (count == 0) return;
-    run(last_tokens, states, count, round_up(count, length_multiple_of),
-        logits, /*logits_first_row=*/0);
-  }
-
-  std::vector<NamedParam> params() override {
-    std::vector<NamedParam> out;
-    out.push_back({cfg_.name + ".embed.weight", &embed_});
-    out.push_back({cfg_.name + ".pos.weight", &pos_});
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      Block& b = blocks_[i];
-      const std::string p = cfg_.name + ".block" + std::to_string(i);
-      out.push_back({p + ".ln1.gamma", &b.ln1_gamma});
-      out.push_back({p + ".ln1.beta", &b.ln1_beta});
-      out.push_back({p + ".qkv.weight", &b.w_qkv});
-      out.push_back({p + ".qkv.bias", &b.b_qkv});
-      out.push_back({p + ".proj.weight", &b.w_proj});
-      out.push_back({p + ".proj.bias", &b.b_proj});
-      out.push_back({p + ".ln2.gamma", &b.ln2_gamma});
-      out.push_back({p + ".ln2.beta", &b.ln2_beta});
-      out.push_back({p + ".fc1.weight", &b.w_fc1});
-      out.push_back({p + ".fc1.bias", &b.b_fc1});
-      out.push_back({p + ".fc2.weight", &b.w_fc2});
-      out.push_back({p + ".fc2.bias", &b.b_fc2});
-    }
-    out.push_back({cfg_.name + ".final_ln.gamma", &final_gamma_});
-    out.push_back({cfg_.name + ".final_ln.beta", &final_beta_});
-    out.push_back({cfg_.name + ".head.weight", &head_});
-    return out;
+  void prepare() override {
+    for (auto& block : rwkv_blocks_) block->prepare();
+    for (auto& block : attn_blocks_) block->prepare();
+    head_.prepare();
   }
 
   double macs_per_token(std::int64_t cached) const override {
     const double d = static_cast<double>(cfg_.dim);
+    if (!attn_) {
+      // r,k,v,o (4 d²) + ck (4 d²) + cv (4 d²) + cr (d²) per layer + head.
+      return static_cast<double>(cfg_.depth) * 13.0 * d * d +
+             static_cast<double>(cfg_.vocab) * d;
+    }
     // qkv (3 d²) + proj (d²) + mlp (8 d²) + attention (2·(cached+1)·d)
     // per layer, plus the head.
     const double per_layer =
@@ -356,125 +170,67 @@ class AttnTokenModel final : public TokenModel {
   }
 
  private:
-  struct Block {
-    Tensor ln1_gamma, ln1_beta;
-    Tensor w_qkv, b_qkv;
-    Tensor w_proj, b_proj;
-    Tensor ln2_gamma, ln2_beta;
-    Tensor w_fc1, b_fc1;
-    Tensor w_fc2, b_fc2;
-  };
-
+  /// One packed pass: row i < count consumes tokens[i] against
+  /// row_states[i]; pad rows [count, rows) are zero and stateless.
+  /// Logits are written for rows [logits_first_row, count), contiguously.
   void run(const std::int32_t* tokens, SequenceState* const* row_states,
            std::int64_t count, std::int64_t rows, float* logits,
            std::int64_t logits_first_row) {
     const std::int64_t d = cfg_.dim;
-    const std::int64_t heads = cfg_.heads;
-    const std::int64_t hd = d / heads;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    Tensor x = Tensor::scratch(Shape{rows, d});
+    embed_rows(embed_, tokens, count, rows, d, x.f32());
 
-    // Row i's absolute position: its state's length plus how many
-    // earlier rows feed the same state (prefill packs a whole prompt).
-    std::vector<std::int64_t> row_pos(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-      std::int64_t occ = 0;
-      for (std::int64_t j = 0; j < i; ++j) {
-        if (row_states[j] == row_states[i]) ++occ;
-      }
-      row_pos[static_cast<std::size_t>(i)] = row_states[i]->length() + occ;
-      HARVEST_CHECK(row_pos[static_cast<std::size_t>(i)] < cfg_.max_tokens);
-    }
-
-    std::vector<float> x(static_cast<std::size_t>(rows * d));
-    std::vector<float> normed(x.size()), attn(x.size()), proj(x.size());
-    std::vector<float> qkv(static_cast<std::size_t>(rows * 3 * d));
-    std::vector<float> hidden(static_cast<std::size_t>(rows * 4 * d));
-
-    embed_rows(embed_, tokens, count, rows, d, x.data());
-    for (std::int64_t i = 0; i < count; ++i) {
-      const float* p = pos_.f32() + row_pos[static_cast<std::size_t>(i)] * d;
-      float* xi = x.data() + i * d;
-      for (std::int64_t c = 0; c < d; ++c) xi[c] += p[c];
-    }
-
-    for (std::size_t li = 0; li < blocks_.size(); ++li) {
-      Block& b = blocks_[li];
-      layernorm_rows(x.data(), normed.data(), rows, d, b.ln1_gamma.f32(),
-                     b.ln1_beta.f32());
-      gemm_bt(normed.data(), b.w_qkv.f32(), qkv.data(), rows, 3 * d, d);
-      const float* bias = b.b_qkv.f32();
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* row = qkv.data() + i * 3 * d;
-        for (std::int64_t c = 0; c < 3 * d; ++c) row[c] += bias[c];
-      }
-
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* out = attn.data() + i * d;
-        if (i >= count) {
-          std::memset(out, 0, static_cast<std::size_t>(d) * sizeof(float));
-          continue;
+    tensor::AlignedBuffer row_pos;
+    if (attn_) {
+      // Row i's absolute position (its KV slot): its state's length plus
+      // the earlier rows that feed the same state.
+      row_pos = tensor::AlignedBuffer::scratch(static_cast<std::size_t>(count) *
+                                               sizeof(std::int64_t));
+      std::int64_t* pos = row_pos.as<std::int64_t>();
+      for (std::int64_t i = 0; i < count; ++i) {
+        std::int64_t occ = 0;
+        for (std::int64_t j = 0; j < i; ++j) {
+          if (row_states[j] == row_states[i]) ++occ;
         }
-        // Append this token's K/V at its slot, then attend causally
-        // over every cached slot up to and including it.
-        float* cache = row_states[i]->layer(static_cast<std::int64_t>(li));
-        float* kc = cache;                              // [max_tokens, d]
-        float* vc = cache + cfg_.max_tokens * d;        // [max_tokens, d]
-        const float* q = qkv.data() + i * 3 * d;
-        const float* kr = q + d;
-        const float* vr = q + 2 * d;
-        const std::int64_t slot = row_pos[static_cast<std::size_t>(i)];
-        std::memcpy(kc + slot * d, kr,
-                    static_cast<std::size_t>(d) * sizeof(float));
-        std::memcpy(vc + slot * d, vr,
-                    static_cast<std::size_t>(d) * sizeof(float));
-        // One-pass online-softmax attention over the cache (no score
-        // buffer, no second read of K); deterministic per row, so the
-        // packed-prefill == step-decode bit-identity contract holds.
-        for (std::int64_t h = 0; h < heads; ++h) {
-          attention_decode_fused(q + h * hd, kc + h * hd, vc + h * hd, d,
-                                 out + h * hd, slot + 1, hd, scale);
-        }
-      }
-
-      gemm_bt(attn.data(), b.w_proj.f32(), proj.data(), rows, d, d);
-      const float* pb = b.b_proj.f32();
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* xi = x.data() + i * d;
-        const float* pi = proj.data() + i * d;
-        for (std::int64_t c = 0; c < d; ++c) xi[c] += pi[c] + pb[c];
-      }
-
-      layernorm_rows(x.data(), normed.data(), rows, d, b.ln2_gamma.f32(),
-                     b.ln2_beta.f32());
-      gemm_bt(normed.data(), b.w_fc1.f32(), hidden.data(), rows, 4 * d, d);
-      const float* fb1 = b.b_fc1.f32();
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* row = hidden.data() + i * 4 * d;
-        for (std::int64_t c = 0; c < 4 * d; ++c) row[c] += fb1[c];
-      }
-      gelu_inplace(hidden.data(), rows * 4 * d);
-      gemm_bt(hidden.data(), b.w_fc2.f32(), proj.data(), rows, d, 4 * d);
-      const float* fb2 = b.b_fc2.f32();
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* xi = x.data() + i * d;
-        const float* pi = proj.data() + i * d;
-        for (std::int64_t c = 0; c < d; ++c) xi[c] += pi[c] + fb2[c];
+        pos[i] = row_states[i]->length() + occ;
+        HARVEST_CHECK(pos[i] < cfg_.max_tokens);
+        const float* p = pos_.f32() + pos[i] * d;
+        float* xi = x.f32() + i * d;
+        for (std::int64_t c = 0; c < d; ++c) xi[c] += p[c];
       }
     }
 
+    tensor::AlignedBuffer slices_buf = tensor::AlignedBuffer::scratch(
+        static_cast<std::size_t>(count) * sizeof(float*));
+    float** slices = slices_buf.as<float*>();
+    for (std::int64_t l = 0; l < cfg_.depth; ++l) {
+      for (std::int64_t i = 0; i < count; ++i) {
+        slices[i] = row_states[i]->layer(l);
+      }
+      const auto li = static_cast<std::size_t>(l);
+      if (attn_) {
+        attn_blocks_[li]->step(x.f32(), rows, count, slices,
+                               row_pos.as<std::int64_t>(), cfg_.max_tokens);
+      } else {
+        rwkv_blocks_[li]->step(x.f32(), rows, count, slices);
+      }
+    }
     for (std::int64_t i = 0; i < count; ++i) row_states[i]->advance();
 
     const std::int64_t logit_rows = count - logits_first_row;
-    layernorm_rows(x.data() + logits_first_row * d, normed.data(), logit_rows,
-                   d, final_gamma_.f32(), final_beta_.f32());
-    gemm_bt(normed.data(), head_.f32(), logits, logit_rows, cfg_.vocab, d);
+    Tensor normed = Tensor::scratch(Shape{logit_rows, d});
+    final_ln_.run(x.f32() + logits_first_row * d, normed.f32(), logit_rows);
+    head_.run(normed.f32(), logits, logit_rows, /*accumulate=*/false);
   }
 
   TokenModelConfig cfg_;
+  bool attn_;
   Tensor embed_;
-  Tensor pos_;
-  std::vector<Block> blocks_;
-  Tensor final_gamma_, final_beta_, head_;
+  Tensor pos_;  ///< [max_tokens, dim]; "attn" only
+  std::vector<std::unique_ptr<RwkvBlock>> rwkv_blocks_;
+  std::vector<std::unique_ptr<TransformerBlock>> attn_blocks_;
+  LayerNorm final_ln_;
+  Dense head_;  ///< [vocab, dim], no bias
 };
 
 }  // namespace
@@ -482,11 +238,8 @@ class AttnTokenModel final : public TokenModel {
 TokenModelPtr build_token_model(const TokenModelConfig& config) {
   HARVEST_CHECK(config.vocab > 0 && config.dim > 0 && config.depth > 0 &&
                 config.max_tokens > 0);
-  if (config.arch == "rwkv") {
-    return std::make_unique<RwkvTokenModel>(config);
-  }
-  HARVEST_CHECK(config.arch == "attn");
-  return std::make_unique<AttnTokenModel>(config);
+  HARVEST_CHECK(config.arch == "rwkv" || config.arch == "attn");
+  return std::make_unique<LayerTokenModel>(config);
 }
 
 void init_token_model(TokenModel& model, std::uint64_t seed) {

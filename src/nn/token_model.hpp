@@ -3,16 +3,23 @@
 /// \file token_model.hpp
 /// Step-wise (incremental) token models for the sequence-serving
 /// subsystem: the autoregressive counterpart to the image classifiers.
-/// Two architectures share one interface:
+/// A token model runs the image layer stack one step at a time (embedding
+/// → blocks → final LayerNorm → head); `arch` picks the block:
 ///
-///  * `RwkvTokenModel` — the linear-time WKV recurrence of
+///  * "rwkv" — `RwkvBlock::step`: the linear-time WKV recurrence of
 ///    `nn/rwkv.hpp`, decoded one token at a time against a tiny
 ///    per-sequence recurrent state (per-layer num/den accumulators).
 ///    Step cost is independent of history length.
-///  * `AttnTokenModel` — a causal transformer decoder whose per-layer
-///    K/V projections append into a server-owned KV-cache; each decode
-///    step attends one query row against the cached keys, so the full
-///    prefix is never re-processed.
+///  * "attn" — `TransformerBlock::step`: a causal decoder whose
+///    per-layer K/V projections append into a server-owned KV-cache;
+///    each decode step attends one query row against the cached keys,
+///    so the full prefix is never re-processed.
+///
+/// Both blocks run their projections through `Dense`, so `prepare()`
+/// packs the weights once at load time, the transformer's bias, GELU and
+/// residual adds ride the GEMM epilogue, and all activations are request scratch
+/// (`Tensor::scratch`): under a bound `core::ArenaScope` a steady-state
+/// decode step touches no heap.
 ///
 /// The decode entry point is *packed*: each live sequence contributes
 /// exactly one row, so a batch of N sequences with wildly different
@@ -139,6 +146,11 @@ class TokenModel {
 
   /// All learnable tensors (for init / HVST checkpoints).
   virtual std::vector<NamedParam> params() = 0;
+
+  /// One-time load-phase work after the weights are final: packs every
+  /// GEMM weight into panels (`Layer::prepare`); without it each GEMM
+  /// packs its weight per call. Idempotent; changes no logits.
+  virtual void prepare() = 0;
 
   /// MACs to decode one token when `cached` tokens precede it — the
   /// DES token cost model prices steps with this.

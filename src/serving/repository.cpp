@@ -111,6 +111,9 @@ core::Result<nn::TokenModelPtr> build_token_model_entry(
   if (!weights.empty()) {
     HARVEST_RETURN_IF_ERROR(nn::load_token_model(*model, weights));
   }
+  // As for image models: pack the GEMM weights at load, not in the first
+  // decode step.
+  model->prepare();
   return model;
 }
 

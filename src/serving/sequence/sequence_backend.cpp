@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "core/rng.hpp"
+#include "tensor/tensor.hpp"
 
 namespace harvest::serving::sequence {
 
@@ -46,10 +47,14 @@ core::Result<SequenceStepResult> NativeSequenceBackend::prefill(
   }
   const auto start = std::chrono::steady_clock::now();
   const std::int64_t vocab = model_->config().vocab;
-  logits_.resize(static_cast<std::size_t>(vocab));
-  model_->prefill(prompt, count, state, logits_.data());
   SequenceStepResult result;
-  result.tokens.push_back(argmax_row(logits_.data(), vocab));
+  {
+    core::ArenaScope scope(arena_);
+    tensor::Tensor logits = tensor::Tensor::scratch({vocab});
+    model_->prefill(prompt, count, state, logits.f32());
+    result.tokens.push_back(argmax_row(logits.f32(), vocab));
+  }
+  arena_.reset();
   result.device_seconds = seconds_since(start);
   return result;
 }
@@ -60,14 +65,18 @@ core::Result<SequenceStepResult> NativeSequenceBackend::decode(
   if (count <= 0) return core::Status::invalid_argument("empty decode batch");
   const auto start = std::chrono::steady_clock::now();
   const std::int64_t vocab = model_->config().vocab;
-  logits_.resize(static_cast<std::size_t>(count * vocab));
-  model_->decode_batch(last_tokens, states, count, logits_.data(),
-                       length_multiple_of_);
   SequenceStepResult result;
   result.tokens.reserve(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    result.tokens.push_back(argmax_row(logits_.data() + i * vocab, vocab));
+  {
+    core::ArenaScope scope(arena_);
+    tensor::Tensor logits = tensor::Tensor::scratch({count, vocab});
+    model_->decode_batch(last_tokens, states, count, logits.f32(),
+                         length_multiple_of_);
+    for (std::int64_t i = 0; i < count; ++i) {
+      result.tokens.push_back(argmax_row(logits.f32() + i * vocab, vocab));
+    }
   }
+  arena_.reset();
   result.device_seconds = seconds_since(start);
   return result;
 }

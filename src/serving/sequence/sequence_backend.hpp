@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/status.hpp"
 #include "nn/token_model.hpp"
 
@@ -72,7 +73,9 @@ class NativeSequenceBackend final : public SequenceBackend {
  private:
   nn::TokenModelPtr model_;
   std::int64_t length_multiple_of_;
-  std::vector<float> logits_;  ///< scratch, scheduler-thread only
+  /// Request arena bound around each prefill and decode call (activations
+  /// and logits) and reset after it; scheduler-thread only.
+  core::BumpArena arena_;
 };
 
 /// Analytic per-step cost for the DES and the sim backend: a fixed

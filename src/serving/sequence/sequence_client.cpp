@@ -51,15 +51,18 @@ SequenceResponse RetryingSequenceClient::generate_sync(
     double backoff = 0.0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.retries;
       backoff = options_.retry.backoff_s(attempt, rng_);
     }
-    if (options_.retry.respect_deadline && request.deadline_s > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (elapsed + backoff >= request.deadline_s) break;  // budget gone
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    if (options_.retry.overruns_deadline(elapsed, backoff,
+                                         request.deadline_s)) {
+      break;  // budget gone: abandoned, not retried
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++counters_.retries;
     }
     recorder.record_instant("retry_backoff", "sequence", request.trace);
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));

@@ -32,25 +32,21 @@ StatePool::StatePool(const nn::SequenceStateSpec& spec,
 }
 
 std::optional<StatePool::Lease> StatePool::acquire(double now_s) {
-  std::int64_t slot = -1;
-  std::uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) return std::nullopt;
-    slot = free_.back();
-    free_.pop_back();
-    const auto i = static_cast<std::size_t>(slot);
-    in_use_[i] = true;
-    last_touch_s_[i] = now_s;
-    // New ownership epoch: any lease stamped with an older generation
-    // is dead from here on.
-    generation = ++generation_[i];
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (free_.empty()) return std::nullopt;
   Lease lease;
-  lease.slot = slot;
-  lease.generation = generation;
+  lease.slot = free_.back();
+  free_.pop_back();
+  const auto i = static_cast<std::size_t>(lease.slot);
+  in_use_[i] = true;
+  last_touch_s_[i] = now_s;
+  // New ownership epoch: any lease stamped with an older generation
+  // is dead from here on.
+  lease.generation = ++generation_[i];
   lease.state = nn::SequenceState(
-      spec_, slab_.as<float>() + slot * spec_.floats_per_sequence());
+      spec_, slab_.as<float>() + lease.slot * spec_.floats_per_sequence());
+  // Zeroed under the lock, so this reset happens after the release (or
+  // eviction) that freed the slot and before the next owner's.
   lease.state.reset();
   return lease;
 }

@@ -3,12 +3,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/arena.hpp"
 #include "nn/graph.hpp"
 #include "nn/init.hpp"
 #include "nn/models.hpp"
 #include "nn/quant.hpp"
+#include "nn/token_model.hpp"
 #include "tensor/buffer.hpp"
 #include "tensor/tensor.hpp"
 
@@ -175,6 +177,66 @@ TEST(ZeroMallocGate, SteadyStateVitForwardAllocatesNothing) {
 
 TEST(ZeroMallocGate, SteadyStateInt8VitForwardAllocatesNothing) {
   expect_steady_state_vit_forward_allocates_nothing(/*int8=*/true);
+}
+
+/// The same gate for the token models' packed decode step: after
+/// warm-up, decode_batch under a request ArenaScope (as
+/// NativeSequenceBackend binds it) makes no operator new call.
+void expect_steady_state_decode_allocates_nothing(const char* arch) {
+  nn::TokenModelConfig config;
+  config.arch = arch;
+  config.vocab = 64;
+  config.dim = 32;
+  config.depth = 2;
+  config.heads = 4;
+  config.max_tokens = 16;
+  nn::TokenModelPtr model = nn::build_token_model(config);
+  nn::init_token_model(*model, 5);
+  model->prepare();
+
+  const nn::SequenceStateSpec spec = model->state_spec();
+  constexpr int kSequences = 3;
+  std::vector<float> slab(
+      static_cast<std::size_t>(kSequences * spec.floats_per_sequence()));
+  std::vector<nn::SequenceState> states;
+  std::vector<nn::SequenceState*> views;
+  for (int s = 0; s < kSequences; ++s) {
+    states.emplace_back(spec, slab.data() + s * spec.floats_per_sequence());
+  }
+  for (nn::SequenceState& state : states) {
+    state.reset();
+    views.push_back(&state);
+  }
+  const std::int32_t tokens[kSequences] = {1, 2, 3};
+  std::vector<float> logits(static_cast<std::size_t>(kSequences * 64));
+
+  BumpArena arena;
+  auto step = [&] {
+    {
+      ArenaScope scope(arena);
+      model->decode_batch(tokens, views.data(), kSequences, logits.data(),
+                          /*length_multiple_of=*/4);
+    }
+    arena.reset();
+  };
+  for (int warm = 0; warm < 2; ++warm) step();
+
+  const std::uint64_t news_before = g_new_calls;
+  const std::uint64_t buffers_before =
+      tensor::AlignedBuffer::heap_allocation_count();
+  step();
+  EXPECT_EQ(tensor::AlignedBuffer::heap_allocation_count(), buffers_before)
+      << "a tensor buffer bypassed the request arena";
+  EXPECT_EQ(g_new_calls, news_before)
+      << "steady-state decode_batch hit operator new";
+}
+
+TEST(ZeroMallocGate, SteadyStateRwkvDecodeAllocatesNothing) {
+  expect_steady_state_decode_allocates_nothing("rwkv");
+}
+
+TEST(ZeroMallocGate, SteadyStateAttnDecodeAllocatesNothing) {
+  expect_steady_state_decode_allocates_nothing("attn");
 }
 
 }  // namespace

@@ -231,6 +231,37 @@ TEST_P(TokenModelTest, CheckpointRoundTripIsBitExact) {
   std::remove(path.c_str());
 }
 
+TEST_P(TokenModelTest, PreparedModelMatchesUnprepared) {
+  // prepare() packs every GEMM weight into panels once; the packed GEMM
+  // runs the same accumulation chains, so logits and states stay bit
+  // for bit those of the per-call-packing model.
+  TokenModelPtr plain = build_token_model(mini_config(GetParam()));
+  TokenModelPtr packed = build_token_model(mini_config(GetParam()));
+  init_token_model(*plain, 29);
+  init_token_model(*packed, 29);
+  packed->prepare();
+  const std::int64_t vocab = plain->config().vocab;
+  const auto prompt = random_prompt(7, vocab, 37);
+
+  OwnedState a(plain->state_spec());
+  OwnedState b(packed->state_spec());
+  std::vector<float> la(static_cast<std::size_t>(vocab));
+  std::vector<float> lb(la.size());
+  plain->prefill(prompt.data(), 7, a.state, la.data());
+  packed->prefill(prompt.data(), 7, b.state, lb.data());
+  EXPECT_EQ(std::memcmp(la.data(), lb.data(), la.size() * sizeof(float)), 0);
+
+  const std::int32_t last = 4;
+  SequenceState* va[] = {&a.state};
+  SequenceState* vb[] = {&b.state};
+  plain->decode_batch(&last, va, 1, la.data(), /*length_multiple_of=*/4);
+  packed->decode_batch(&last, vb, 1, lb.data(), /*length_multiple_of=*/4);
+  EXPECT_EQ(std::memcmp(la.data(), lb.data(), la.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(a.slab.data(), b.slab.data(),
+                        a.slab.size() * sizeof(float)),
+            0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Architectures, TokenModelTest,
                          ::testing::Values("rwkv", "attn"));
 

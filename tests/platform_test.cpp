@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "nn/models.hpp"
 #include "platform/calibration.hpp"
 #include "platform/device.hpp"
@@ -8,6 +10,14 @@
 #include "platform/perf_model.hpp"
 
 namespace harvest::platform {
+
+/// gtest prints a parameter into the listed test name; without this it
+/// dumps the raw bytes of the anchor, whose first word is a heap address,
+/// so the ctest names would change from one build to the next.
+void PrintTo(const EngineAnchor& anchor, std::ostream* os) {
+  *os << anchor.device << "/" << anchor.model;
+}
+
 namespace {
 
 // ---------------------------------------------------------------- devices

@@ -756,5 +756,57 @@ TEST(RetryingSequenceClient, RetriesShedRequests) {
   EXPECT_TRUE(server.sequence_metrics("agri-lm")->counters().conserved());
 }
 
+TEST(RetryingSequenceClient, DeadlineStoppedRetryIsAbandonedNotRetried) {
+  auto gated = std::make_unique<GatedBackend>(sim_backend());
+  GatedBackend* gate = gated.get();
+  Server server(1);
+  SequenceDeploymentConfig config;
+  config.name = "agri-lm";
+  config.scheduler.max_active = 1;
+  config.scheduler.max_queue_depth = 1;
+  auto shared = std::make_shared<SequenceBackendPtr>(std::move(gated));
+  ASSERT_TRUE(server
+                  .register_sequence_model(
+                      config, [shared] { return std::move(*shared); })
+                  .is_ok());
+
+  // Park the worker and fill the queue, so every submit sheds.
+  auto first = server.submit_sequence([&] {
+    SequenceRequest r = make_request(2, 2);
+    r.model = "agri-lm";
+    return r;
+  }());
+  ASSERT_TRUE(first.is_ok());
+  gate->await_entered();
+  auto second = server.submit_sequence([&] {
+    SequenceRequest r = make_request(2, 2);
+    r.model = "agri-lm";
+    return r;
+  }());
+  ASSERT_TRUE(second.is_ok());
+
+  // The first backoff (20 ms) overruns the 1 ms budget, so the client
+  // gives up after one attempt without taking a retry.
+  SequenceClientOptions options;
+  options.retry.max_attempts = 4;
+  options.retry.initial_backoff_s = 20e-3;
+  options.retry.jitter = 0.0;
+  RetryingSequenceClient client(server, options);
+  SequenceRequest request = make_request(2, 2);
+  request.model = "agri-lm";
+  request.deadline_s = 1e-3;
+  const SequenceResponse response = client.generate_sync(std::move(request));
+  EXPECT_EQ(response.outcome, SequenceOutcome::kShed);
+  const auto counters = client.counters();
+  EXPECT_EQ(counters.attempts, 1u);
+  EXPECT_EQ(counters.retries, 0u);
+  EXPECT_EQ(counters.abandoned, 1u);
+
+  gate->open();
+  first.value().get();
+  second.value().get();
+  server.shutdown();
+}
+
 }  // namespace
 }  // namespace harvest::serving::sequence
