@@ -155,18 +155,7 @@ class LayerTokenModel final : public TokenModel {
   }
 
   double macs_per_token(std::int64_t cached) const override {
-    const double d = static_cast<double>(cfg_.dim);
-    if (!attn_) {
-      // r,k,v,o (4 d²) + ck (4 d²) + cv (4 d²) + cr (d²) per layer + head.
-      return static_cast<double>(cfg_.depth) * 13.0 * d * d +
-             static_cast<double>(cfg_.vocab) * d;
-    }
-    // qkv (3 d²) + proj (d²) + mlp (8 d²) + attention (2·(cached+1)·d)
-    // per layer, plus the head.
-    const double per_layer =
-        12.0 * d * d + 2.0 * static_cast<double>(cached + 1) * d;
-    return static_cast<double>(cfg_.depth) * per_layer +
-           static_cast<double>(cfg_.vocab) * d;
+    return token_macs_per_token(cfg_, cached);
   }
 
  private:
@@ -234,6 +223,22 @@ class LayerTokenModel final : public TokenModel {
 };
 
 }  // namespace
+
+double token_macs_per_token(const TokenModelConfig& config,
+                            std::int64_t cached) {
+  const double d = static_cast<double>(config.dim);
+  if (config.arch != "attn") {
+    // r,k,v,o (4 d²) + ck (4 d²) + cv (4 d²) + cr (d²) per layer + head.
+    return static_cast<double>(config.depth) * 13.0 * d * d +
+           static_cast<double>(config.vocab) * d;
+  }
+  // qkv (3 d²) + proj (d²) + mlp (8 d²) + attention (2·(cached+1)·d)
+  // per layer, plus the head.
+  const double per_layer =
+      12.0 * d * d + 2.0 * static_cast<double>(cached + 1) * d;
+  return static_cast<double>(config.depth) * per_layer +
+         static_cast<double>(config.vocab) * d;
+}
 
 TokenModelPtr build_token_model(const TokenModelConfig& config) {
   HARVEST_CHECK(config.vocab > 0 && config.dim > 0 && config.depth > 0 &&

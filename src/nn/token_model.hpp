@@ -159,6 +159,12 @@ class TokenModel {
 
 using TokenModelPtr = std::unique_ptr<TokenModel>;
 
+/// MACs to decode one token when `cached` tokens precede it, from the
+/// architecture alone: TokenModel::macs_per_token of a model built from
+/// `config`, without building one.
+double token_macs_per_token(const TokenModelConfig& config,
+                            std::int64_t cached);
+
 /// Build an uninitialized model ("rwkv" or "attn"; HARVEST_CHECKs the
 /// config is well-formed).
 TokenModelPtr build_token_model(const TokenModelConfig& config);

@@ -18,6 +18,21 @@ double steady_now_s() {
 
 }  // namespace
 
+namespace sequence {
+
+const char* sequence_outcome_name(SequenceOutcome outcome) {
+  switch (outcome) {
+    case SequenceOutcome::kOk: return "ok";
+    case SequenceOutcome::kFailed: return "failed";
+    case SequenceOutcome::kShed: return "shed";
+    case SequenceOutcome::kExpired: return "expired";
+    case SequenceOutcome::kEvicted: return "evicted";
+  }
+  return "unknown";
+}
+
+}  // namespace sequence
+
 const char* request_outcome_name(RequestOutcome outcome) {
   switch (outcome) {
     case RequestOutcome::kOk: return "ok";
@@ -148,6 +163,76 @@ void MetricsRegistry::record_retry_abandoned() {
 void MetricsRegistry::record_degraded() {
   std::scoped_lock lock(mutex_);
   ++degraded_;
+}
+
+void MetricsRegistry::record_submitted() {
+  std::scoped_lock lock(mutex_);
+  ++sequences_submitted_;
+}
+
+void MetricsRegistry::record_admitted() {
+  std::scoped_lock lock(mutex_);
+  ++sequences_admitted_;
+}
+
+void MetricsRegistry::record_sequence(
+    const sequence::SequenceResponse& response, std::uint64_t trace_id) {
+  using sequence::SequenceOutcome;
+  RequestTiming timing;
+  timing.queue_s = response.timing.queue_s;
+  timing.total_s = response.timing.total_s;
+  RequestOutcome outcome = RequestOutcome::kFailed;
+  switch (response.outcome) {
+    case SequenceOutcome::kOk: outcome = RequestOutcome::kOk; break;
+    case SequenceOutcome::kShed: outcome = RequestOutcome::kShed; break;
+    case SequenceOutcome::kExpired:
+      outcome = RequestOutcome::kDeadlineMissed;
+      break;
+    case SequenceOutcome::kFailed:
+    case SequenceOutcome::kEvicted: break;
+  }
+  record(timing, outcome, trace_id);
+  // After record(): counters() must never see an eviction whose failed
+  // outcome is not yet counted.
+  std::scoped_lock lock(mutex_);
+  if (response.outcome == SequenceOutcome::kEvicted) ++sequences_evicted_;
+  tokens_generated_ += static_cast<std::uint64_t>(response.tokens.size());
+  if (response.outcome == SequenceOutcome::kOk) {
+    if (response.timing.ttft_s > 0.0) {
+      ttft_digest_.add(response.timing.ttft_s, trace_id);
+    }
+    if (response.tokens_per_s > 0.0) {
+      tokens_per_s_digest_.add(response.tokens_per_s, trace_id);
+    }
+  }
+}
+
+void MetricsRegistry::record_decode_step(std::int64_t rows) {
+  std::scoped_lock lock(mutex_);
+  ++decode_steps_;
+  decode_rows_ += static_cast<std::uint64_t>(rows);
+}
+
+sequence::SequenceCounters MetricsRegistry::counters() const {
+  std::scoped_lock lock(mutex_);
+  return sequence_counters();
+}
+
+sequence::SequenceCounters MetricsRegistry::sequence_counters() const {
+  const auto outcome = [this](RequestOutcome o) {
+    return outcomes_[static_cast<std::size_t>(o)];
+  };
+  sequence::SequenceCounters counters;
+  counters.submitted = sequences_submitted_;
+  counters.admitted = sequences_admitted_;
+  counters.completed = outcome(RequestOutcome::kOk);
+  counters.shed = shed_;
+  counters.failed = outcome(RequestOutcome::kFailed) - sequences_evicted_;
+  counters.expired = outcome(RequestOutcome::kDeadlineMissed);
+  counters.evicted = sequences_evicted_;
+  counters.tokens_generated = tokens_generated_;
+  counters.steps = decode_steps_;
+  return counters;
 }
 
 void MetricsRegistry::record_flush(FlushReason reason,
@@ -309,6 +394,7 @@ void MetricsRegistry::render_prometheus(obs::PrometheusWriter& out,
               "End-to-end latency quantiles from the t-digest, with "
               "trace-id exemplars.",
               latency_digest_, labels);
+  if (sequences_submitted_ > 0) render_sequences(out, model);
   out.gauge("harvest_inflight_requests",
             "Requests currently in preprocessing or inference.",
             static_cast<double>(inflight_.load(std::memory_order_relaxed)),
@@ -327,6 +413,49 @@ void MetricsRegistry::render_prometheus(obs::PrometheusWriter& out,
               "Fraction of the cumulative error budget left (negative = "
               "overspent).",
               slo_.budget_remaining(), labels);
+  }
+}
+
+void MetricsRegistry::render_sequences(obs::PrometheusWriter& out,
+                                       const std::string& model) const {
+  using sequence::SequenceOutcome;
+  const obs::PrometheusWriter::Labels labels = {{"model", model}};
+  const sequence::SequenceCounters counters = sequence_counters();
+  const auto outcome_counter = [&](SequenceOutcome outcome,
+                                   std::uint64_t value) {
+    obs::PrometheusWriter::Labels outcome_labels = labels;
+    outcome_labels.emplace_back("outcome",
+                                sequence::sequence_outcome_name(outcome));
+    out.counter("harvest_sequence_outcomes_total",
+                "Sequences by terminal outcome.",
+                static_cast<double>(value), outcome_labels);
+  };
+  outcome_counter(SequenceOutcome::kOk, counters.completed);
+  outcome_counter(SequenceOutcome::kFailed, counters.failed);
+  outcome_counter(SequenceOutcome::kShed, counters.shed);
+  outcome_counter(SequenceOutcome::kExpired, counters.expired);
+  outcome_counter(SequenceOutcome::kEvicted, counters.evicted);
+  out.counter("harvest_sequence_submitted_total",
+              "Sequence requests received.",
+              static_cast<double>(counters.submitted), labels);
+  out.counter("harvest_sequence_tokens_total", "Tokens generated.",
+              static_cast<double>(counters.tokens_generated), labels);
+  out.counter("harvest_sequence_decode_steps_total",
+              "Packed decode iterations executed.",
+              static_cast<double>(counters.steps), labels);
+  out.summary("harvest_sequence_ttft_seconds",
+              "Time to first token of completed sequences, with trace-id "
+              "exemplars.",
+              ttft_digest_, labels);
+  out.summary("harvest_sequence_tokens_per_second",
+              "Per-sequence decode rate of completed sequences.",
+              tokens_per_s_digest_, labels);
+  if (decode_steps_ > 0) {
+    out.gauge("harvest_sequence_mean_batch_rows",
+              "Mean live sequences per decode iteration.",
+              static_cast<double>(decode_rows_) /
+                  static_cast<double>(decode_steps_),
+              labels);
   }
 }
 
@@ -353,6 +482,14 @@ void MetricsRegistry::reset() {
   cold_starts_ = 0;
   cold_start_digest_ = obs::QuantileDigest();
   flushes_ = {};
+  sequences_submitted_ = 0;
+  sequences_admitted_ = 0;
+  sequences_evicted_ = 0;
+  tokens_generated_ = 0;
+  decode_steps_ = 0;
+  decode_rows_ = 0;
+  ttft_digest_ = obs::QuantileDigest();
+  tokens_per_s_digest_ = obs::QuantileDigest();
   inflight_.store(0, std::memory_order_relaxed);
   slo_.configure(slo_.config(), slo_.window_s());
 }

@@ -7,7 +7,8 @@
 /// snapshot plus a Prometheus text-format exposition. The same registry
 /// is fed by the real threaded server and the discrete-event
 /// simulation, so reports are comparable across the two execution
-/// modes.
+/// modes, and by the sequence scheduler, whose retired sequences are
+/// requests like any other plus token-generation state of their own.
 
 #include <array>
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "obs/slo.hpp"
 #include "serving/batcher.hpp"
 #include "serving/request.hpp"
+#include "serving/sequence/sequence_request.hpp"
 
 namespace harvest::serving {
 
@@ -96,6 +98,22 @@ class MetricsRegistry {
   /// run. Feeds a counter and a t-digest of reload latencies.
   void record_cold_start(double seconds);
 
+  // Token generation. A sequence scheduler feeds these; the registry
+  // renders the `harvest_sequence*` families once it has been fed.
+
+  /// One sequence request received / admitted into the live batch.
+  void record_submitted();
+  void record_admitted();
+  /// One retired sequence: a request through record() (expired as
+  /// kDeadlineMissed, evicted as kFailed, shed as record_shed()) plus
+  /// its generated tokens and, once completed, its TTFT and tokens/s.
+  void record_sequence(const sequence::SequenceResponse& response,
+                       std::uint64_t trace_id = 0);
+  /// One packed decode iteration over `rows` live sequences.
+  void record_decode_step(std::int64_t rows);
+  /// Sequence outcomes, which obey submitted == retired().
+  sequence::SequenceCounters counters() const;
+
   /// Live gauge: requests currently being preprocessed/inferred.
   void inflight_add(std::int64_t delta);
   std::int64_t inflight() const;
@@ -130,6 +148,11 @@ class MetricsRegistry {
   void reset();
 
  private:
+  // Both with mutex_ held.
+  sequence::SequenceCounters sequence_counters() const;
+  void render_sequences(obs::PrometheusWriter& out,
+                        const std::string& model) const;
+
   mutable std::mutex mutex_;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
@@ -152,6 +175,16 @@ class MetricsRegistry {
   std::uint64_t cold_starts_ = 0;
   obs::QuantileDigest cold_start_digest_;
   FlushCounts flushes_{};
+  // Token generation; `failed` of a sequence is outcomes_[kFailed]
+  // minus the evictions, which the request outcomes cannot tell apart.
+  std::uint64_t sequences_submitted_ = 0;
+  std::uint64_t sequences_admitted_ = 0;
+  std::uint64_t sequences_evicted_ = 0;
+  std::uint64_t tokens_generated_ = 0;
+  std::uint64_t decode_steps_ = 0;
+  std::uint64_t decode_rows_ = 0;
+  obs::QuantileDigest ttft_digest_;
+  obs::QuantileDigest tokens_per_s_digest_;
   std::function<std::size_t()> queue_depth_probe_;
   std::function<double()> clock_;  ///< SLO time source; guarded by mutex_
   std::atomic<std::int64_t> inflight_{0};

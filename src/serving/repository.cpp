@@ -85,7 +85,9 @@ core::Result<nn::ModelPtr> build_native_model(const core::Json& entry) {
   return model;
 }
 
-core::Result<nn::TokenModelPtr> build_token_model_entry(
+/// The token-model keys of a "workload": "sequence" entry, shared by
+/// its native and sim backends.
+core::Result<nn::TokenModelConfig> parse_token_model_config(
     const core::Json& entry) {
   nn::TokenModelConfig config;
   config.name = entry.get_string("name", "agri-lm");
@@ -104,6 +106,15 @@ core::Result<nn::TokenModelPtr> build_token_model_entry(
     return core::Status::invalid_argument(
         "sequence entry needs vocab/dim/depth/max_tokens > 0");
   }
+  if (config.arch == "attn" &&
+      (config.heads <= 0 || config.dim % config.heads != 0)) {
+    return core::Status::invalid_argument("dim must divide into heads");
+  }
+  return config;
+}
+
+core::Result<nn::TokenModelPtr> build_token_model_entry(
+    const nn::TokenModelConfig& config, const core::Json& entry) {
   nn::TokenModelPtr model = nn::build_token_model(config);
   nn::init_token_model(*model,
                        static_cast<std::uint64_t>(entry.get_int("seed", 1)));
@@ -146,34 +157,26 @@ core::Status register_sequence_entry(Server& server, const core::Json& entry) {
     return core::Status::invalid_argument(
         "sequence entry needs slots >= max_active");
   }
+  auto parsed = parse_token_model_config(entry);
+  if (!parsed.is_ok()) return parsed.status();
+  const nn::TokenModelConfig config = std::move(parsed).value();
 
   const std::string backend = entry.get_string("backend", "native");
   if (backend == "native") {
-    // Validate once up front so a broken entry fails here.
-    auto probe = build_token_model_entry(entry);
-    if (!probe.is_ok()) return probe.status();
+    // Built (and its weights loaded) here, so a broken entry fails
+    // before registration; the factory hands this one model over.
+    auto built = build_token_model_entry(config, entry);
+    if (!built.is_ok()) return built.status();
+    auto model = std::make_shared<nn::TokenModelPtr>(std::move(built).value());
     const std::int64_t multiple = deployment.scheduler.length_multiple_of;
     return server.register_sequence_model(
-        deployment, [entry, multiple]() -> sequence::SequenceBackendPtr {
-          auto model = build_token_model_entry(entry);
-          if (!model.is_ok()) return nullptr;
+        deployment, [model, multiple]() -> sequence::SequenceBackendPtr {
+          if (*model == nullptr) return nullptr;
           return std::make_unique<sequence::NativeSequenceBackend>(
-              std::move(model).value(), multiple);
+              std::move(*model), multiple);
         });
   }
   if (backend == "sim") {
-    nn::TokenModelConfig config;
-    config.name = deployment.name;
-    config.arch = entry.get_string("architecture", "rwkv");
-    config.vocab = entry.get_int("vocab", 512);
-    config.dim = entry.get_int("dim", 128);
-    config.depth = entry.get_int("depth", 4);
-    config.heads = entry.get_int("heads", 4);
-    config.max_tokens = entry.get_int("max_tokens", 256);
-    if (config.arch != "rwkv" && config.arch != "attn") {
-      return core::Status::invalid_argument("unknown architecture: " +
-                                            config.arch);
-    }
     double mac_rate = 50e9;
     if (const std::string device_name = entry.get_string("device", "");
         !device_name.empty()) {

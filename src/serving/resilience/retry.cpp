@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "core/time.hpp"
 #include "obs/trace.hpp"
@@ -52,15 +54,17 @@ core::Result<RetryPolicy> parse_retry_policy(const core::Json& json) {
   return policy;
 }
 
-RetryingClient::RetryingClient(Server& server, RetryPolicy policy,
+RetryingClient::RetryingClient(Server& server, ClientOptions options,
                                std::uint64_t seed)
-    : server_(&server), policy_(policy), rng_(seed) {}
+    : server_(&server), options_(std::move(options)), rng_(seed) {}
 
-InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
+template <typename Request, typename Response>
+Response RetryingClient::run(Request request,
+                             Response (Server::*submit)(Request)) {
   obs::TraceRecorder& tracer = obs::TraceRecorder::instance();
   // Client-side trace context: one "client_request" span covers every
   // attempt and backoff of this logical request; each attempt's server
-  // "request" span and the "deliver" span of its response parent to it.
+  // root span and the "deliver" span of its response parent to it.
   // Honors a pre-set trace id.
   obs::TraceContext client_ctx;
   const auto client_start = std::chrono::steady_clock::now();
@@ -72,38 +76,49 @@ InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
     request.trace.trace_id = client_ctx.trace_id;
     request.trace.parent_span_id = client_ctx.root_span_id;
   }
+  const auto send = [&](int attempt) {
+    Request copy = request;  // the submit path consumes its argument
+    Response response = (server_->*submit)(std::move(copy));
+    if constexpr (std::is_same_v<Response, InferenceResponse>) {
+      if (client_ctx.active() &&
+          response.handed_off != std::chrono::steady_clock::time_point{}) {
+        // The response's trip from the executor's hand-off back to this
+        // thread: promise fulfilment and the caller's wake-up.
+        tracer.record_child("deliver", "serving",
+                            tracer.to_us(response.handed_off),
+                            tracer.to_us(std::chrono::steady_clock::now()),
+                            client_ctx, response.id, attempt);
+      }
+    }
+    return response;
+  };
   core::WallTimer budget;
-  InferenceResponse response;
-  for (int attempt = 1;; ++attempt) {
+  Response response;
+  bool gave_up = false;
+  int attempt = 1;
+  for (;; ++attempt) {
     {
       std::scoped_lock lock(mutex_);
       ++counters_.attempts;
     }
-    InferenceRequest copy = request;  // the submit path consumes its argument
-    response = server_->infer_sync(std::move(copy));
-    if (client_ctx.active() &&
-        response.handed_off != std::chrono::steady_clock::time_point{}) {
-      // The response's trip from the executor's hand-off back to this
-      // thread: promise fulfilment and the caller's wake-up.
-      tracer.record_child("deliver", "serving",
-                          tracer.to_us(response.handed_off),
-                          tracer.to_us(std::chrono::steady_clock::now()),
-                          client_ctx, response.id, attempt);
-    }
+    response = send(attempt);
     if (response.status.is_ok() ||
         !RetryPolicy::retryable(response.status.code())) {
-      finish_trace(client_ctx, client_start, response.id);
-      return response;
+      break;
     }
-    if (attempt >= policy_.max_attempts) break;
+    if (attempt >= options_.retry.max_attempts) {
+      gave_up = true;
+      break;
+    }
     double backoff;
     {
       std::scoped_lock lock(mutex_);
-      backoff = policy_.backoff_s(attempt, rng_);
+      backoff = options_.retry.backoff_s(attempt, rng_);
     }
     // Deadline-aware budget: never sleep into certain failure.
-    if (policy_.overruns_deadline(budget.elapsed_seconds(), backoff,
-                                  request.deadline_s)) {
+    if (options_.retry.overruns_deadline(budget.elapsed_seconds(), backoff,
+                                         request.deadline_s)) {
+      gave_up = true;
       break;
     }
     {
@@ -129,15 +144,37 @@ InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
       }
     }
   }
-  {
-    std::scoped_lock lock(mutex_);
-    ++counters_.abandoned;
-  }
-  if (MetricsRegistry* metrics = server_->mutable_metrics(request.model)) {
-    metrics->record_retry_abandoned();
+  if (!response.status.is_ok() && !options_.fallback_model.empty() &&
+      options_.fallback_model != request.model) {
+    // Graceful degradation: one shot at the fallback deployment, in the
+    // same trace.
+    {
+      std::scoped_lock lock(mutex_);
+      ++counters_.degraded;
+    }
+    tracer.record_instant("degraded", "serving", client_ctx);
+    request.model = options_.fallback_model;
+    response = send(attempt + 1);
+  } else if (gave_up) {
+    {
+      std::scoped_lock lock(mutex_);
+      ++counters_.abandoned;
+    }
+    if (MetricsRegistry* metrics = server_->mutable_metrics(request.model)) {
+      metrics->record_retry_abandoned();
+    }
   }
   finish_trace(client_ctx, client_start, response.id);
   return response;
+}
+
+InferenceResponse RetryingClient::infer_sync(InferenceRequest request) {
+  return run(std::move(request), &Server::infer_sync);
+}
+
+sequence::SequenceResponse RetryingClient::generate_sync(
+    sequence::SequenceRequest request) {
+  return run(std::move(request), &Server::generate_sync);
 }
 
 void RetryingClient::finish_trace(

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <string>
 
 #include "core/json.hpp"
 #include "core/rng.hpp"
@@ -61,26 +62,53 @@ struct RetryPolicy {
 /// jitter, respect_deadline. See docs/RESILIENCE.md.
 core::Result<RetryPolicy> parse_retry_policy(const core::Json& json);
 
-/// Synchronous retrying frontend. Counts attempts/retries/abandons both
-/// locally and in the deployment's MetricsRegistry, and, when tracing is
-/// enabled, records a `client_request` root with a `deliver` span per
-/// answered attempt and a `retry_backoff` span per backoff. Thread-safe.
+/// What a RetryingClient does with a request: its retry policy and
+/// where the request goes once retries cannot save it. A bare
+/// RetryPolicy converts, so `RetryingClient(server, policy)` reads as
+/// before.
+struct ClientOptions {
+  ClientOptions() = default;
+  ClientOptions(RetryPolicy policy) : retry(policy) {}  // NOLINT
+
+  RetryPolicy retry;
+  /// After the last failed attempt, send the request once to this
+  /// deployment (empty = fail outright); a failure there is final.
+  std::string fallback_model;
+};
+
+/// Synchronous retrying frontend for image and sequence requests, one
+/// retry loop for both. Counts attempts/retries/abandons both locally
+/// and in the deployment's MetricsRegistry, and, when tracing is
+/// enabled, records a `client_request` root that parents every
+/// attempt's server root (`request` / `sequence_request`), a `deliver`
+/// span per answered image attempt and a `retry_backoff` span per
+/// backoff. Thread-safe.
 class RetryingClient {
  public:
-  RetryingClient(Server& server, RetryPolicy policy, std::uint64_t seed = 42);
+  RetryingClient(Server& server, ClientOptions options,
+                 std::uint64_t seed = 42);
 
   /// Submit-and-wait with retries. The returned response is the last
   /// attempt's.
   InferenceResponse infer_sync(InferenceRequest request);
+  /// The same for a sequence request; streaming callbacks fire for
+  /// every attempt.
+  sequence::SequenceResponse generate_sync(sequence::SequenceRequest request);
 
   struct Counters {
     std::uint64_t attempts = 0;   ///< submits issued (first tries + retries)
     std::uint64_t retries = 0;    ///< re-submits after a retryable failure
     std::uint64_t abandoned = 0;  ///< gave up (attempts or budget exhausted)
+    std::uint64_t degraded = 0;   ///< sent to the fallback model
   };
   Counters counters() const;
 
  private:
+  /// The retry loop: `submit` is Server::infer_sync or
+  /// Server::generate_sync.
+  template <typename Request, typename Response>
+  Response run(Request request, Response (Server::*submit)(Request));
+
   /// Close the logical request's "client_request" root span (covers
   /// every attempt + backoff); no-op without an active context.
   static void finish_trace(const obs::TraceContext& client_ctx,
@@ -88,7 +116,7 @@ class RetryingClient {
                            std::uint64_t id);
 
   Server* server_;
-  RetryPolicy policy_;
+  ClientOptions options_;
   mutable std::mutex mutex_;
   core::Rng rng_;
   Counters counters_;

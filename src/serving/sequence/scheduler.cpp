@@ -11,7 +11,7 @@ SequenceScheduler::SequenceScheduler(std::string model_name,
                                      SequenceBackendPtr backend,
                                      const StatePoolConfig& pool_config,
                                      const SequenceSchedulerConfig& config,
-                                     SequenceMetrics* metrics)
+                                     MetricsRegistry* metrics)
     : model_name_(std::move(model_name)), backend_(std::move(backend)),
       pool_(backend_->state_spec(), pool_config), config_(config),
       metrics_(metrics), epoch_(Clock::now()) {
@@ -43,7 +43,7 @@ core::Result<std::future<SequenceResponse>> SequenceScheduler::submit(
     if (metrics_ != nullptr) {
       SequenceResponse rejected;
       rejected.outcome = SequenceOutcome::kFailed;
-      metrics_->record_retired(rejected);
+      metrics_->record_sequence(rejected);
     }
     return core::Status::invalid_argument(
         "prompt must be non-empty and leave room in the " +
@@ -225,9 +225,8 @@ void SequenceScheduler::step() {
   const double t0 = now_s();
   const double t0_us = recorder.now_us();
   auto result = backend_->decode(last_tokens.data(), states.data(), rows);
-  const double t1 = now_s();
   const double t1_us = recorder.now_us();
-  if (metrics_ != nullptr) metrics_->record_step(rows, t1 - t0);
+  if (metrics_ != nullptr) metrics_->record_decode_step(rows);
   recorder.record_complete("decode_step", "sequence", t0_us, t1_us, 0, rows);
 
   if (!result.is_ok()) {
@@ -342,7 +341,7 @@ void SequenceScheduler::retire(Live& live, SequenceOutcome outcome,
                        live.request.trace, live.request.id,
                        static_cast<std::int64_t>(response.tokens.size()));
   if (metrics_ != nullptr) {
-    metrics_->record_retired(response, live.request.trace.trace_id);
+    metrics_->record_sequence(response, live.request.trace.trace_id);
   }
   live.promise.set_value(std::move(response));
 }
@@ -359,11 +358,7 @@ void SequenceScheduler::resolve_unadmitted(Pending&& pending,
   obs::TraceRecorder::instance().record_instant(
       sequence_outcome_name(outcome), "sequence", pending.request.trace);
   if (metrics_ != nullptr) {
-    if (outcome == SequenceOutcome::kShed) {
-      metrics_->record_shed();
-    } else {
-      metrics_->record_retired(response, pending.request.trace.trace_id);
-    }
+    metrics_->record_sequence(response, pending.request.trace.trace_id);
   }
   pending.promise.set_value(std::move(response));
 }

@@ -32,8 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "serving/metrics.hpp"
 #include "serving/sequence/sequence_backend.hpp"
-#include "serving/sequence/sequence_metrics.hpp"
 #include "serving/sequence/sequence_request.hpp"
 #include "serving/sequence/state_pool.hpp"
 
@@ -57,7 +57,7 @@ class SequenceScheduler {
   SequenceScheduler(std::string model_name, SequenceBackendPtr backend,
                     const StatePoolConfig& pool_config,
                     const SequenceSchedulerConfig& config,
-                    SequenceMetrics* metrics);
+                    MetricsRegistry* metrics);
   ~SequenceScheduler();
 
   SequenceScheduler(const SequenceScheduler&) = delete;
@@ -122,7 +122,7 @@ class SequenceScheduler {
   SequenceBackendPtr backend_;
   StatePool pool_;
   SequenceSchedulerConfig config_;
-  SequenceMetrics* metrics_;
+  MetricsRegistry* metrics_;
   Clock::time_point epoch_;
 
   mutable std::mutex mutex_;  ///< guards queue_ and shutdown handshake

@@ -98,14 +98,12 @@ double TokenCostModel::prefill_s(std::int64_t prompt_tokens) const {
 
 TokenCostModel TokenCostModel::for_model(const nn::TokenModelConfig& config,
                                          double mac_rate) {
-  // Derive the per-token terms from the architecture the same way
-  // TokenModel::macs_per_token prices them: the cached-token slope is
-  // macs(1) - macs(0), the flat term the zero-cache cost.
-  nn::TokenModelPtr model = nn::build_token_model(config);
+  // The cached-token slope is macs(1) - macs(0), the flat term the
+  // zero-cache cost.
   TokenCostModel cost;
-  cost.macs_per_token = model->macs_per_token(0);
-  cost.macs_per_cached_token =
-      model->macs_per_token(1) - model->macs_per_token(0);
+  cost.macs_per_token = nn::token_macs_per_token(config, 0);
+  cost.macs_per_cached_token = nn::token_macs_per_token(config, 1) -
+                               nn::token_macs_per_token(config, 0);
   cost.mac_rate = mac_rate;
   return cost;
 }

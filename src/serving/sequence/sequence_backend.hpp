@@ -96,8 +96,8 @@ struct TokenCostModel {
   double prefill_s(std::int64_t prompt_tokens) const;
 
   /// Price a model's architecture: macs terms from
-  /// TokenModel::macs_per_token, the rate from the caller (e.g. a
-  /// platform::DeviceSpec-derived practical rate).
+  /// nn::token_macs_per_token (no model is built), the rate from the
+  /// caller (e.g. a platform::DeviceSpec-derived practical rate).
   static TokenCostModel for_model(const nn::TokenModelConfig& config,
                                   double mac_rate);
 };

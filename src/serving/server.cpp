@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 
 #include "core/log.hpp"
 #include "obs/trace.hpp"
@@ -196,13 +197,6 @@ sequence::SequenceResponse Server::generate_sync(
   return submitted.value().get();
 }
 
-const sequence::SequenceMetrics* Server::sequence_metrics(
-    const std::string& model) const {
-  std::shared_lock lock(deployments_mutex_);
-  const auto it = sequence_deployments_.find(model);
-  return it == sequence_deployments_.end() ? nullptr : &it->second->metrics;
-}
-
 const sequence::SequenceScheduler* Server::sequence_scheduler(
     const std::string& model) const {
   std::shared_lock lock(deployments_mutex_);
@@ -320,14 +314,17 @@ InferenceResponse Server::infer_sync(InferenceRequest request) {
 
 const MetricsRegistry* Server::metrics(const std::string& model) const {
   std::shared_lock lock(deployments_mutex_);
-  const auto it = deployments_.find(model);
-  return it == deployments_.end() ? nullptr : &it->second->metrics;
+  if (const auto it = deployments_.find(model); it != deployments_.end()) {
+    return &it->second->metrics;
+  }
+  const auto it = sequence_deployments_.find(model);
+  return it == sequence_deployments_.end() ? nullptr : &it->second->metrics;
 }
 
 MetricsRegistry* Server::mutable_metrics(const std::string& model) {
-  std::shared_lock lock(deployments_mutex_);
-  const auto it = deployments_.find(model);
-  return it == deployments_.end() ? nullptr : &it->second->metrics;
+  // Every registry is a non-const member of a deployment this server
+  // owns; the const lookup only keeps one copy of the name resolution.
+  return const_cast<MetricsRegistry*>(std::as_const(*this).metrics(model));
 }
 
 const resilience::AdmissionController* Server::admission(
@@ -374,11 +371,27 @@ std::string Server::prometheus_text() const {
                                             deployment->config.precision);
     }
     for (const auto& [name, deployment] : sequence_deployments_) {
+      deployment->metrics.render_prometheus(writer, name);
+      // The scheduler's own gauges: the live batch and the state pool
+      // it leases from.
       const sequence::SequenceScheduler& scheduler = *deployment->scheduler;
       const sequence::StatePool& pool = scheduler.pool();
-      deployment->metrics.render_prometheus(
-          writer, name, scheduler.active(), pool.used_bytes(),
-          pool.capacity_bytes(), pool.active(), pool.slots());
+      const obs::PrometheusWriter::Labels labels = {{"model", name}};
+      writer.gauge("harvest_sequences_active",
+                   "Sequences currently in the live decode batch.",
+                   static_cast<double>(scheduler.active()), labels);
+      writer.gauge("harvest_sequence_state_pool_bytes",
+                   "State-pool bytes leased to live sequences.",
+                   static_cast<double>(pool.used_bytes()), labels);
+      writer.gauge("harvest_sequence_state_pool_capacity_bytes",
+                   "State-pool byte capacity.",
+                   static_cast<double>(pool.capacity_bytes()), labels);
+      writer.gauge("harvest_sequence_state_pool_occupancy",
+                   "Leased state-pool slots / total slots.",
+                   pool.slots() > 0 ? static_cast<double>(pool.active()) /
+                                          static_cast<double>(pool.slots())
+                                    : 0.0,
+                   labels);
     }
     // Per-tenant isolation gauges: outstanding vs quota is the signal
     // that one tenant is eating the fleet.

@@ -109,7 +109,7 @@ class Server {
   /// Convenience: submit and wait.
   InferenceResponse infer_sync(InferenceRequest request);
 
-  /// Deployment metrics (nullptr when unknown).
+  /// Deployment metrics, image or sequence (nullptr when unknown).
   const MetricsRegistry* metrics(const std::string& model) const;
 
   /// Writable registry access for frontend-side recorders (retry
@@ -137,8 +137,6 @@ class Server {
   sequence::SequenceResponse generate_sync(sequence::SequenceRequest request);
 
   /// Sequence-deployment introspection (nullptr/empty when unknown).
-  const sequence::SequenceMetrics* sequence_metrics(
-      const std::string& model) const;
   const sequence::SequenceScheduler* sequence_scheduler(
       const std::string& model) const;
   std::vector<std::string> sequence_model_names() const;
@@ -164,7 +162,8 @@ class Server {
 
   /// Prometheus text-format exposition over every deployment, plus
   /// server-level gauges (preprocessing pool, weight store, worker
-  /// pool, per-tenant outstanding/quota).
+  /// pool, per-tenant outstanding/quota, sequence schedulers' live
+  /// batch and state pool).
   std::string prometheus_text() const;
 
   /// Stop accepting requests, drain the worker pool, join everything.
@@ -203,7 +202,7 @@ class Server {
   /// synchronized and may be used after the lock is released.
   struct SequenceDeployment {
     SequenceDeploymentConfig config;
-    sequence::SequenceMetrics metrics;
+    MetricsRegistry metrics;
     std::unique_ptr<sequence::SequenceScheduler> scheduler;
   };
 

@@ -253,6 +253,104 @@ TEST(TraceContext, RetryAttemptsShareOneTrace) {
   EXPECT_EQ(obs::classify_segment("deliver"), obs::Segment::kTransmit);
 }
 
+/// Sequence backend whose first prefill fails transiently, so the first
+/// attempt of a sequence request retires as failed and is retried.
+class FlakyPrefillBackend final : public serving::sequence::SequenceBackend {
+ public:
+  FlakyPrefillBackend() {
+    nn::TokenModelConfig config;
+    config.vocab = 64;
+    config.dim = 8;
+    config.depth = 1;
+    config.max_tokens = 32;
+    serving::sequence::TokenCostModel free_steps;
+    free_steps.step_overhead_s = 0.0;
+    free_steps.prefill_overhead_s = 0.0;
+    free_steps.macs_per_token = 0.0;
+    inner_ = std::make_unique<serving::sequence::SimSequenceBackend>(
+        config, free_steps);
+  }
+
+  const std::string& name() const override { return inner_->name(); }
+  const nn::TokenModelConfig& model_config() const override {
+    return inner_->model_config();
+  }
+  nn::SequenceStateSpec state_spec() const override {
+    return inner_->state_spec();
+  }
+  core::Result<serving::sequence::SequenceStepResult> prefill(
+      const std::int32_t* prompt, std::int64_t count,
+      nn::SequenceState& state) override {
+    if (failures_left_ > 0) {
+      --failures_left_;
+      return core::Status::internal("injected prefill failure");
+    }
+    return inner_->prefill(prompt, count, state);
+  }
+  core::Result<serving::sequence::SequenceStepResult> decode(
+      const std::int32_t* last_tokens, nn::SequenceState* const* states,
+      std::int64_t count) override {
+    return inner_->decode(last_tokens, states, count);
+  }
+
+ private:
+  serving::sequence::SequenceBackendPtr inner_;
+  int failures_left_ = 1;  ///< scheduler-thread only
+};
+
+TEST(TraceContext, RetriedSequenceAttemptsShareOneTrace) {
+  TraceRecorder& recorder = TraceRecorder::instance();
+  recorder.enable();
+  recorder.clear();
+  core::Json doc;
+  {
+    serving::Server server(/*preproc_threads=*/1);
+    serving::SequenceDeploymentConfig config;
+    config.name = "agri-lm";
+    ASSERT_TRUE(server
+                    .register_sequence_model(
+                        config,
+                        [] { return std::make_unique<FlakyPrefillBackend>(); })
+                    .is_ok());
+    serving::resilience::RetryPolicy policy;
+    policy.max_attempts = 2;
+    policy.initial_backoff_s = 1e-3;
+    policy.max_backoff_s = 2e-3;
+    serving::resilience::RetryingClient client(server, policy);
+    serving::sequence::SequenceRequest request;
+    request.model = "agri-lm";
+    request.prompt = {1, 2, 3};
+    request.max_new_tokens = 3;
+    const serving::sequence::SequenceResponse response =
+        client.generate_sync(std::move(request));
+    EXPECT_TRUE(response.status.is_ok());
+    EXPECT_EQ(client.counters().retries, 1u);
+    server.shutdown();
+    doc = parsed_trace();
+  }
+  recorder.disable();
+
+  const std::vector<std::uint64_t> ids = obs::trace_ids(doc);
+  ASSERT_EQ(ids.size(), 1u);
+  const std::vector<Span> spans = spans_of(doc, ids.front());
+  // One tree: both scheduler attempts and the backoff hang off the
+  // single client_request root.
+  EXPECT_EQ(count_roots(spans), 1u);
+  EXPECT_EQ(count_named(spans, "client_request"), 1u);
+  EXPECT_EQ(count_named(spans, "sequence_request"), 2u);
+  EXPECT_EQ(count_named(spans, "retry_backoff"), 1u);
+
+  std::uint64_t client_span = 0;
+  for (const Span& s : spans) {
+    if (s.name == "client_request") client_span = s.span_id;
+  }
+  for (const Span& s : spans) {
+    if (s.name == "sequence_request" || s.name == "retry_backoff") {
+      EXPECT_EQ(s.parent, client_span) << s.name;
+    }
+  }
+}
+
 TEST(TraceContext, DegradeFailoverStaysInTheSameTree) {
   TraceRecorder& recorder = TraceRecorder::instance();
   recorder.enable();

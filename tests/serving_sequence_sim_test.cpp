@@ -48,6 +48,17 @@ TEST(TokenCostModel, ForModelMatchesArchitecture) {
   config.arch = "attn";
   const TokenCostModel attn = TokenCostModel::for_model(config, 1e9);
   EXPECT_GT(attn.macs_per_cached_token, 0.0);  // KV reads grow with history
+
+  // Priced from the config alone, yet exactly a built model's terms.
+  for (const char* arch : {"rwkv", "attn"}) {
+    config.arch = arch;
+    const TokenCostModel cost = TokenCostModel::for_model(config, 1e9);
+    const nn::TokenModelPtr model = nn::build_token_model(config);
+    EXPECT_EQ(cost.macs_per_token, model->macs_per_token(0)) << arch;
+    EXPECT_EQ(cost.macs_per_cached_token,
+              model->macs_per_token(1) - model->macs_per_token(0))
+        << arch;
+  }
 }
 
 TEST(SequenceSim, CountersConserveAcrossPoliciesAndLoads) {

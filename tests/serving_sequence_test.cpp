@@ -19,7 +19,7 @@
 
 #include "core/json.hpp"
 #include "serving/repository.hpp"
-#include "serving/sequence/sequence_client.hpp"
+#include "serving/resilience/retry.hpp"
 #include "serving/sequence/state_pool.hpp"
 #include "serving/server.hpp"
 
@@ -353,7 +353,7 @@ TEST(StatePool, ConcurrentLifecycleConserves) {
 TEST(SequenceScheduler, GeneratesBudgetAndStreamsTokensInOrder) {
   SequenceSchedulerConfig config;
   config.max_active = 4;
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", sim_backend(), StatePoolConfig{},
                               config, &metrics);
 
@@ -397,7 +397,7 @@ TEST(SequenceScheduler, TokenStreamsStableUnderJoinAndLeave) {
   // position), so any cross-row leakage would change the stream).
   std::vector<std::vector<std::int32_t>> solo;
   for (int r = 0; r < 6; ++r) {
-    SequenceMetrics metrics;
+    MetricsRegistry metrics;
     SequenceScheduler scheduler("tiny-lm", sim_backend(), StatePoolConfig{},
                                 SequenceSchedulerConfig{}, &metrics);
     auto submitted =
@@ -411,7 +411,7 @@ TEST(SequenceScheduler, TokenStreamsStableUnderJoinAndLeave) {
   config.length_multiple_of = 4;
   StatePoolConfig pool;
   pool.slots = 3;
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", sim_backend(), pool, config,
                               &metrics);
   std::vector<std::future<SequenceResponse>> futures;
@@ -432,7 +432,7 @@ TEST(SequenceScheduler, TokenStreamsStableUnderJoinAndLeave) {
 }
 
 TEST(SequenceScheduler, InvalidPromptsFailFast) {
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", sim_backend(), StatePoolConfig{},
                               SequenceSchedulerConfig{}, &metrics);
   auto empty = scheduler.submit(make_request(0, 4));
@@ -445,7 +445,7 @@ TEST(SequenceScheduler, InvalidPromptsFailFast) {
 }
 
 TEST(SequenceScheduler, DeadlineExpiryFreesSlotAndConserves) {
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", sim_backend(), StatePoolConfig{},
                               SequenceSchedulerConfig{}, &metrics);
   SequenceRequest request = make_request(4, 8);
@@ -474,7 +474,7 @@ TEST(SequenceScheduler, FullQueueShedsDeterministically) {
   SequenceSchedulerConfig config;
   config.max_active = 1;
   config.max_queue_depth = 1;
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", std::move(gated), StatePoolConfig{},
                               config, &metrics);
 
@@ -508,7 +508,7 @@ TEST(SequenceScheduler, IdleEvictionRetiresAsEvictedAndConserves) {
   StatePoolConfig pool;
   pool.slots = 1;
   pool.idle_timeout_s = 0.02;
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", std::move(gated), pool, config,
                               &metrics);
 
@@ -540,7 +540,7 @@ TEST(SequenceScheduler, ShutdownDrainsAndConserves) {
   GatedBackend* gate = gated.get();
   SequenceSchedulerConfig config;
   config.max_active = 1;
-  SequenceMetrics metrics;
+  MetricsRegistry metrics;
   SequenceScheduler scheduler("tiny-lm", std::move(gated), StatePoolConfig{},
                               config, &metrics);
 
@@ -597,8 +597,8 @@ TEST(ServerSequence, RoutesMetricsAndPrometheus) {
   EXPECT_EQ(server.generate_sync(std::move(unknown)).status.code(),
             core::StatusCode::kNotFound);
 
-  ASSERT_NE(server.sequence_metrics("agri-lm"), nullptr);
-  EXPECT_TRUE(server.sequence_metrics("agri-lm")->counters().conserved());
+  ASSERT_NE(server.metrics("agri-lm"), nullptr);
+  EXPECT_TRUE(server.metrics("agri-lm")->counters().conserved());
   ASSERT_NE(server.sequence_scheduler("agri-lm"), nullptr);
 
   const std::string text = server.prometheus_text();
@@ -659,6 +659,9 @@ TEST(ServerSequence, RepositoryRejectsBadSequenceEntries) {
            R"({"models":[{"name":"x","workload":"sequence","max_active":0}]})",
            R"({"models":[{"name":"x","workload":"sequence","slots":1,"max_active":4}]})",
            R"({"models":[{"name":"x","workload":"teapot"}]})",
+           R"({"models":[{"name":"x","workload":"sequence","backend":"sim","dim":0}]})",
+           R"({"models":[{"name":"x","workload":"sequence","architecture":"attn","dim":16,"heads":3}]})",
+           R"({"models":[{"name":"x","workload":"sequence","weights":"/nonexistent/agri-lm.hvst"}]})",
        }) {
     auto parsed = core::Json::parse(bad);
     ASSERT_TRUE(parsed.is_ok());
@@ -666,6 +669,47 @@ TEST(ServerSequence, RepositoryRejectsBadSequenceEntries) {
     EXPECT_FALSE(load_repository(server, parsed.value()).is_ok()) << bad;
     server.shutdown();
   }
+}
+
+/// The value of the first exposition sample that starts with `prefix`
+/// (family name plus the opening of its label set); -1 when absent.
+double sample_value(const std::string& text, const std::string& prefix) {
+  const std::size_t at = text.find(prefix);
+  if (at == std::string::npos) return -1.0;
+  const std::size_t value = text.find("} ", at);
+  return value == std::string::npos ? -1.0
+                                    : std::stod(text.substr(value + 2));
+}
+
+TEST(ServerSequence, RetiredSequenceIsARequest) {
+  Server server(1);
+  SequenceDeploymentConfig config;
+  config.name = "agri-lm";
+  ASSERT_TRUE(server
+                  .register_sequence_model(
+                      config, [] { return sim_backend(); })
+                  .is_ok());
+  for (int i = 0; i < 3; ++i) {
+    SequenceRequest request = make_request(3, 4);
+    request.model = "agri-lm";
+    EXPECT_TRUE(server.generate_sync(std::move(request)).status.is_ok());
+  }
+  const std::string text = server.prometheus_text();
+  EXPECT_EQ(sample_value(
+                text, "harvest_request_latency_seconds_count{model=\"agri-lm\""),
+            3.0);
+  EXPECT_EQ(sample_value(
+                text, "harvest_queue_time_seconds_count{model=\"agri-lm\""),
+            3.0);
+  EXPECT_EQ(sample_value(
+                text, "harvest_requests_completed_total{model=\"agri-lm\""),
+            3.0);
+  EXPECT_EQ(sample_value(text, "harvest_sequence_outcomes_total{model=\"agri-lm\","
+                               "outcome=\"ok\""),
+            3.0);
+  ASSERT_NE(server.metrics("agri-lm"), nullptr);
+  EXPECT_EQ(server.metrics("agri-lm")->snapshot(1.0).completed, 3u);
+  server.shutdown();
 }
 
 // -------------------------------------------------------------- client
@@ -679,11 +723,11 @@ TEST(RetryingSequenceClient, FallsBackToDegradeModel) {
                       config, [] { return sim_backend(); })
                   .is_ok());
 
-  SequenceClientOptions options;
+  resilience::ClientOptions options;
   options.retry.max_attempts = 2;
   options.retry.initial_backoff_s = 1e-4;
   options.fallback_model = "agri-lm-small";
-  RetryingSequenceClient client(server, options);
+  resilience::RetryingClient client(server, options);
 
   // Target deployment does not exist: not retryable, but the fallback
   // model answers.
@@ -729,11 +773,11 @@ TEST(RetryingSequenceClient, RetriesShedRequests) {
   }());
   ASSERT_TRUE(second.is_ok());
 
-  SequenceClientOptions options;
+  resilience::ClientOptions options;
   options.retry.max_attempts = 6;
   options.retry.initial_backoff_s = 20e-3;
   options.retry.jitter = 0.0;
-  RetryingSequenceClient client(server, options);
+  resilience::RetryingClient client(server, options);
   // The gate stays closed until the client has provably shed once (its
   // retry counter bumps before the backoff sleep), so attempt 1 always
   // fails; once open, the worker drains instantly and a later attempt
@@ -753,7 +797,7 @@ TEST(RetryingSequenceClient, RetriesShedRequests) {
   first.value().get();
   second.value().get();
   server.shutdown();
-  EXPECT_TRUE(server.sequence_metrics("agri-lm")->counters().conserved());
+  EXPECT_TRUE(server.metrics("agri-lm")->counters().conserved());
 }
 
 TEST(RetryingSequenceClient, DeadlineStoppedRetryIsAbandonedNotRetried) {
@@ -787,11 +831,11 @@ TEST(RetryingSequenceClient, DeadlineStoppedRetryIsAbandonedNotRetried) {
 
   // The first backoff (20 ms) overruns the 1 ms budget, so the client
   // gives up after one attempt without taking a retry.
-  SequenceClientOptions options;
+  resilience::ClientOptions options;
   options.retry.max_attempts = 4;
   options.retry.initial_backoff_s = 20e-3;
   options.retry.jitter = 0.0;
-  RetryingSequenceClient client(server, options);
+  resilience::RetryingClient client(server, options);
   SequenceRequest request = make_request(2, 2);
   request.model = "agri-lm";
   request.deadline_s = 1e-3;
@@ -805,6 +849,60 @@ TEST(RetryingSequenceClient, DeadlineStoppedRetryIsAbandonedNotRetried) {
   gate->open();
   first.value().get();
   second.value().get();
+  server.shutdown();
+}
+
+TEST(RetryingSequenceClient, RetriesCountInTheDeploymentRegistry) {
+  auto gated = std::make_unique<GatedBackend>(sim_backend());
+  GatedBackend* gate = gated.get();
+  Server server(1);
+  SequenceDeploymentConfig config;
+  config.name = "agri-lm";
+  config.scheduler.max_active = 1;
+  config.scheduler.max_queue_depth = 1;
+  auto shared = std::make_shared<SequenceBackendPtr>(std::move(gated));
+  ASSERT_TRUE(server
+                  .register_sequence_model(
+                      config, [shared] { return std::move(*shared); })
+                  .is_ok());
+  const auto agri_request = [] {
+    SequenceRequest r = make_request(2, 2);
+    r.model = "agri-lm";
+    return r;
+  };
+  // Park the worker and fill the queue: the client's first attempt
+  // sheds, and the gate opens once its retry is on the books.
+  auto first = server.submit_sequence(agri_request());
+  ASSERT_TRUE(first.is_ok());
+  gate->await_entered();
+  auto second = server.submit_sequence(agri_request());
+  ASSERT_TRUE(second.is_ok());
+
+  resilience::RetryPolicy policy;
+  policy.max_attempts = 6;
+  policy.initial_backoff_s = 20e-3;
+  policy.jitter = 0.0;
+  resilience::RetryingClient client(server, policy);
+  std::thread opener([&] {
+    while (client.counters().retries == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    gate->open();
+  });
+  const SequenceResponse response = client.generate_sync(agri_request());
+  opener.join();
+  EXPECT_TRUE(response.status.is_ok());
+  first.value().get();
+  second.value().get();
+
+  const std::string text = server.prometheus_text();
+  EXPECT_EQ(sample_value(text, "harvest_retries_total{model=\"agri-lm\""),
+            static_cast<double>(client.counters().retries));
+  EXPECT_GE(sample_value(text, "harvest_retries_total{model=\"agri-lm\""),
+            1.0);
+  EXPECT_GE(sample_value(text,
+                         "harvest_requests_shed_total{model=\"agri-lm\""),
+            1.0);
   server.shutdown();
 }
 
