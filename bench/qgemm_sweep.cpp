@@ -2,7 +2,7 @@
 /// Sweeps the same real layer shapes as the fp32 gemm_sweep — ViT
 /// QKV/proj/MLP projections at their true token counts, im2col-lowered
 /// ResNet-50 stage convs, the classifier head — and reports achieved
-/// GMAC/s for:
+/// GMAC/s, at one thread and at omp_get_max_threads(), for:
 ///
 ///   fp32   — nn::gemm_bt, the packed fp32 kernel (the baseline the
 ///            int8 speedup acceptance is measured against)
@@ -11,15 +11,20 @@
 ///   int8-pp — nn::qgemm_prepacked_dequant, weights packed once ahead
 ///            of time (the production path of every quantized layer)
 ///
+/// A second table has one row per entry of the int8 kernel table
+/// (nn::qgemm_kernels()): its prepacked rate, as the geometric mean over
+/// the gated shapes, at one thread and at the full team.
+///
 /// Two gates make the numbers trustworthy:
-///   1. exact-int32 correctness: the packed kernel must match the naive
-///      reference bit-for-bit on every swept and odd-shaped case, and
-///      the fused epilogue must match a scalar dequant reference;
+///   1. exact-int32 correctness: every kernel of the table must match
+///      the naive reference bit-for-bit on every swept and odd-shaped
+///      case, and the fused epilogue must match a scalar dequant
+///      reference;
 ///   2. end-to-end top-1 agreement: a quantize_model'd ViT must agree
 ///      with its fp32 twin on a batch of inputs.
 /// Either failing exits 1. In full mode a third gate requires the
 /// geometric-mean int8 speedup over the Linear/attention shapes to
-/// clear 2x at equal thread count.
+/// clear 2x at one thread.
 ///
 /// Results land in bench_reports/BENCH_qgemm.json. `--smoke` runs the
 /// correctness + agreement gates plus one timed shape in seconds, and
@@ -134,6 +139,15 @@ bool check_shape(const SweepShape& s) {
     std::fprintf(stderr, "FAIL: packed int32 mismatch on %s\n", s.layer);
     return false;
   }
+  for (const nn::QGemmKernel& kernel : nn::qgemm_kernels()) {
+    nn::qgemm_bt_with_kernel(kernel, a.data(), bt.data(), got.data(), m, n, k);
+    if (std::memcmp(want.data(), got.data(),
+                    want.size() * sizeof(std::int32_t)) != 0) {
+      std::fprintf(stderr, "FAIL: %s kernel int32 mismatch on %s\n",
+                   kernel.name, s.layer);
+      return false;
+    }
+  }
 
   // Fused dequant epilogue (per-row × per-col scale, bias, ReLU) vs a
   // scalar dequant of the exact accumulators.
@@ -173,6 +187,15 @@ bool check_shape(const SweepShape& s) {
     }
   }
   return true;
+}
+
+/// OpenMP team width for the next parallel regions (no-op without OpenMP).
+void set_threads(int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
 }
 
 /// Time `fn` adaptively: enough repetitions to cross `min_seconds`.
@@ -279,8 +302,10 @@ int main(int argc, char** argv) {
   }
   bool exact = true;
   for (const SweepShape& s : checks) exact = check_shape(s) && exact;
-  std::printf("correctness: packed vs naive int32 on %zu shapes — %s\n",
-              checks.size(), exact ? "exact" : "MISMATCH");
+  std::printf("correctness: packed vs naive int32 on %zu shapes, %zu "
+              "kernels — %s\n",
+              checks.size(), nn::qgemm_kernels().size(),
+              exact ? "exact" : "MISMATCH");
   report.set_meta("int32_exact", core::Json(exact));
   if (!exact) return 1;
 
@@ -344,10 +369,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- throughput sweep ---------------------------------------------
+  const std::string tmax = std::to_string(threads) + "t";
   core::TextTable table("INT8 GEMM sweep (GMAC/s)");
-  table.set_header({"layer shape", "M", "N", "K", "fp32", "int8", "int8-pp",
-                    "int8/fp32", "gated"});
+  table.set_header({"layer shape", "M", "N", "K", "fp32 1t", "int8 1t",
+                    "int8-pp 1t", "int8/fp32 1t", "fp32 " + tmax,
+                    "int8-pp " + tmax, "int8-pp/fp32 " + tmax, "gated"});
   double log_speedup_sum = 0.0;
+  double log_speedup_sum_tmax = 0.0;
   std::int64_t gated_count = 0;
   // Per-shape regression gate: prepacked weights skip the per-call B
   // pack, so the prepacked rate must keep up with pack-on-the-fly on
@@ -355,6 +383,11 @@ int main(int argc, char** argv) {
   // the vit_tiny.qkv prepacked regression (misaligned panel storage)
   // would have tripped.
   std::vector<std::string> prepacked_regressions;
+  // Per-kernel log-rate sums over the gated shapes, at 1 thread and at
+  // the full team.
+  const std::size_t num_kernels = nn::qgemm_kernels().size();
+  std::vector<double> kernel_log_t1(num_kernels, 0.0);
+  std::vector<double> kernel_log_tmax(num_kernels, 0.0);
   for (const SweepShape& s : sweep_shapes()) {
     std::vector<std::int8_t> a(static_cast<std::size_t>(s.m * s.k));
     std::vector<std::int8_t> bt(static_cast<std::size_t>(s.n * s.k));
@@ -377,20 +410,42 @@ int main(int argc, char** argv) {
 
     // Same thread count, same A·Bᵀ orientation, B packed per call on
     // both sides — the only variable is the operand type.
-    const double fp32_rate = time_gmacs(macs, min_seconds, [&] {
+    const auto run_fp32 = [&] {
       nn::gemm_bt(af.data(), btf.data(), c.data(), s.m, s.n, s.k);
-    });
+    };
+    nn::QGemmPackedB packed(bt.data(), s.n, s.k);
+    const auto run_prepacked = [&] {
+      nn::qgemm_prepacked_dequant(a.data(), packed, c.data(), s.m, ep);
+    };
+    set_threads(1);
+    const double fp32_rate = time_gmacs(macs, min_seconds, run_fp32);
     const double int8_rate = time_gmacs(macs, min_seconds, [&] {
       nn::qgemm_bt_dequant(a.data(), bt.data(), c.data(), s.m, s.n, s.k, ep);
     });
-    nn::QGemmPackedB packed(bt.data(), s.n, s.k);
-    const double prepacked_rate = time_gmacs(macs, min_seconds, [&] {
-      nn::qgemm_prepacked_dequant(a.data(), packed, c.data(), s.m, ep);
-    });
+    const double prepacked_rate = time_gmacs(macs, min_seconds, run_prepacked);
+    set_threads(threads);
+    const double fp32_rate_tmax = time_gmacs(macs, min_seconds, run_fp32);
+    const double prepacked_rate_tmax =
+        time_gmacs(macs, min_seconds, run_prepacked);
     const double speedup = int8_rate / fp32_rate;
+    const double speedup_tmax = prepacked_rate_tmax / fp32_rate_tmax;
     if (s.gated) {
       log_speedup_sum += std::log(speedup);
+      log_speedup_sum_tmax += std::log(speedup_tmax);
       ++gated_count;
+      for (std::size_t e = 0; e < num_kernels; ++e) {
+        const nn::QGemmPackedB kernel_packed(nn::qgemm_kernels()[e],
+                                             bt.data(), s.n, s.k);
+        const auto run_kernel = [&] {
+          nn::qgemm_prepacked_dequant(a.data(), kernel_packed, c.data(), s.m,
+                                      ep);
+        };
+        set_threads(1);
+        kernel_log_t1[e] += std::log(time_gmacs(macs, min_seconds, run_kernel));
+        set_threads(threads);
+        kernel_log_tmax[e] +=
+            std::log(time_gmacs(macs, min_seconds, run_kernel));
+      }
     }
     if (prepacked_rate < 0.9 * int8_rate) {
       prepacked_regressions.push_back(s.layer);
@@ -401,6 +456,9 @@ int main(int argc, char** argv) {
                    core::format_fixed(int8_rate, 2),
                    core::format_fixed(prepacked_rate, 2),
                    core::format_fixed(speedup, 2) + "x",
+                   core::format_fixed(fp32_rate_tmax, 2),
+                   core::format_fixed(prepacked_rate_tmax, 2),
+                   core::format_fixed(speedup_tmax, 2) + "x",
                    s.gated ? "yes" : "-"});
 
     core::Json row = core::Json::object();
@@ -413,18 +471,51 @@ int main(int argc, char** argv) {
     row["int8_gmacs"] = core::Json(int8_rate);
     row["int8_prepacked_gmacs"] = core::Json(prepacked_rate);
     row["int8_speedup_vs_fp32"] = core::Json(speedup);
+    row["fp32_gmacs_tmax"] = core::Json(fp32_rate_tmax);
+    row["int8_prepacked_gmacs_tmax"] = core::Json(prepacked_rate_tmax);
+    row["int8_prepacked_speedup_vs_fp32_tmax"] = core::Json(speedup_tmax);
     report.add_row(std::move(row));
   }
   std::fputs(table.render().c_str(), stdout);
 
-  const double geomean =
-      gated_count > 0
-          ? std::exp(log_speedup_sum / static_cast<double>(gated_count))
-          : 0.0;
+  const auto geomean_of = [&](double log_sum) {
+    return gated_count > 0
+               ? std::exp(log_sum / static_cast<double>(gated_count))
+               : 0.0;
+  };
+  core::TextTable kernel_table(
+      "INT8 kernel table (int8-pp GMAC/s, geomean over gated shapes)");
+  kernel_table.set_header({"kernel", "MR x NR", "1t", tmax});
+  core::Json kernels = core::Json::array();
+  for (std::size_t e = 0; e < num_kernels; ++e) {
+    const nn::QGemmKernel& kernel = nn::qgemm_kernels()[e];
+    const double t1 = geomean_of(kernel_log_t1[e]);
+    const double tn = geomean_of(kernel_log_tmax[e]);
+    kernel_table.add_row({kernel.name,
+                          std::to_string(kernel.mr) + " x " +
+                              std::to_string(kernel.nr),
+                          core::format_fixed(t1, 2),
+                          core::format_fixed(tn, 2)});
+    core::Json entry = core::Json::object();
+    entry["kernel"] = core::Json(std::string(kernel.name));
+    entry["mr"] = core::Json(kernel.mr);
+    entry["nr"] = core::Json(kernel.nr);
+    entry["int8_prepacked_gmacs_t1"] = core::Json(t1);
+    entry["int8_prepacked_gmacs_tmax"] = core::Json(tn);
+    kernels.push_back(std::move(entry));
+  }
+  std::printf("\n");
+  std::fputs(kernel_table.render().c_str(), stdout);
+  report.set_meta("kernels", std::move(kernels));
+
+  const double geomean = geomean_of(log_speedup_sum);
+  const double geomean_tmax = geomean_of(log_speedup_sum_tmax);
   std::printf("\ngeomean int8/fp32 speedup over gated Linear/attention "
-              "shapes: %.2fx (gate: >=2x)\n",
-              geomean);
+              "shapes: %.2fx at 1 thread (gate: >=2x), int8-pp/fp32 %.2fx "
+              "at %d threads\n",
+              geomean, geomean_tmax, threads);
   report.set_meta("gated_geomean_speedup", core::Json(geomean));
+  report.set_meta("gated_geomean_speedup_tmax", core::Json(geomean_tmax));
   report.set_meta("speedup_gate_ok", core::Json(geomean >= 2.0));
   report.set_meta("prepacked_gate_ok",
                   core::Json(prepacked_regressions.empty()));

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file isa_dispatch.hpp
-/// Private to `nn/`: the guard and attributes for the fp32 kernels that
-/// pick their ISA at run time (the packed GEMM micro-kernels in gemm.cpp
-/// and the fused attention kernels in attention.cpp).
+/// Private to `nn/`: the guard and attributes for the kernels that pick
+/// their ISA at run time (the packed fp32 and int8 GEMM micro-kernels in
+/// gemm.cpp and qgemm.cpp, the fused attention kernels in attention.cpp
+/// and the quantization body in quant.cpp).
 ///
 /// The repo builds at the portable x86-64 baseline (SSE2) so the binary
 /// runs anywhere. Kernel bodies are additionally compiled under
@@ -22,10 +23,15 @@
 #define HARVEST_ISA_DISPATCH 1
 #define HARVEST_TARGET_AVX2 __attribute__((target("avx2,fma")))
 #define HARVEST_TARGET_AVX512 __attribute__((target("avx512f,avx2,fma")))
+#define HARVEST_TARGET_AVXVNNI __attribute__((target("avxvnni,avx2,fma")))
+#define HARVEST_TARGET_AVX512VNNI \
+  __attribute__((target("avx512vnni,avx512f,avx2,fma")))
 #else
 #define HARVEST_ISA_DISPATCH 0
 #define HARVEST_TARGET_AVX2
 #define HARVEST_TARGET_AVX512
+#define HARVEST_TARGET_AVXVNNI
+#define HARVEST_TARGET_AVX512VNNI
 #endif
 #define HARVEST_FORCE_INLINE inline __attribute__((always_inline))
 
@@ -45,6 +51,26 @@ inline bool has_avx2_fma() {
 inline bool has_avx512f() {
 #if HARVEST_ISA_DISPATCH
   return has_avx2_fma() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+/// Host runs AVX-VNNI, the VEX-encoded 256-bit `vpdpbusd` (and AVX2
+/// with FMA; false when dispatch is compiled out).
+inline bool has_avxvnni() {
+#if HARVEST_ISA_DISPATCH
+  return has_avx2_fma() && __builtin_cpu_supports("avxvnni");
+#else
+  return false;
+#endif
+}
+
+/// Host runs AVX-512-VNNI, the 512-bit `vpdpbusd` (and AVX-512F; false
+/// when dispatch is compiled out).
+inline bool has_avx512vnni() {
+#if HARVEST_ISA_DISPATCH
+  return has_avx512f() && __builtin_cpu_supports("avx512vnni");
 #else
   return false;
 #endif

@@ -3,34 +3,34 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
-#if defined(__x86_64__) || defined(_M_X64)
+#include "nn/isa_dispatch.hpp"
+
+#if HARVEST_ISA_DISPATCH
 #include <immintrin.h>
-#define HARVEST_QGEMM_X86 1
 #endif
 
 namespace harvest::nn {
 namespace {
 
-// Micro-tile geometry. The int8 kernel keeps the fp32 kernel's 4×16
-// tile, but packs operands as int16 *k-pairs*: one (lo, hi) pair per
-// lane feeds a pmaddwd-class widening multiply-add (two int16 products
-// summed into an int32 lane in one instruction), which is what buys
-// int8 its >2× rate over fp32 on the same core.
-constexpr std::int64_t kMr = 4;
-constexpr std::int64_t kNr = 16;
-
-// Cache blocks, mirroring gemm.cpp. KC is even so every non-final K
-// block packs to exactly kKc/2 pairs.
+// Cache blocks, mirroring gemm.cpp. MC and NC are multiples of every
+// kernel's MR and NR, so a micro-kernel always writes a whole tile into
+// the MC×NC scratch; KC is a multiple of 4, so every non-final K block
+// packs to exactly KC/4 quads.
 constexpr std::int64_t kMc = 96;
 constexpr std::int64_t kKc = 256;
 constexpr std::int64_t kNc = 512;
-static_assert(kKc % 2 == 0, "pair packing needs an even KC");
+static_assert(kKc % 4 == 0, "quad packing needs KC % 4 == 0");
 
-// Below this MNK volume the pack/copy overhead exceeds the arithmetic.
+// Problems up to this MNK volume run on the calling thread alone.
 constexpr std::int64_t kSmallProblem = 4096;
 
-inline std::int64_t pairs_of(std::int64_t kc) { return (kc + 1) / 2; }
+inline std::int64_t round_up(std::int64_t x, std::int64_t step) {
+  return (x + step - 1) / step * step;
+}
+
+inline std::int64_t quads_of(std::int64_t kc) { return (kc + 3) / 4; }
 
 inline float gelu_scalar(float x) {
   constexpr float kInvSqrt2 = 0.70710678118654752440f;
@@ -39,264 +39,290 @@ inline float gelu_scalar(float x) {
 
 // ------------------------------------------------------------- packing
 
-/// Pack an mc×kc block of int8 A (row pitch lda) into MR-strided int16
-/// k-pair panels: panel r holds rows [r·MR, r·MR+MR) as
-/// ap[p2·MR·2 + i·2 + {0,1}] = widen(a[i][2·p2 {+1}]), zero-padded in
-/// both the row and the k direction so the micro-kernel always runs a
-/// full MR×(2·kc2).
-void pack_a_pairs(const std::int8_t* a, std::int64_t lda, std::int16_t* ap,
-                  std::int64_t mc, std::int64_t kc) {
-  const std::int64_t kc2 = pairs_of(kc);
-  for (std::int64_t i0 = 0; i0 < mc; i0 += kMr) {
-    const std::int64_t mr = std::min(kMr, mc - i0);
-    for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-      std::int16_t* dst = ap + p2 * kMr * 2;
-      const std::int64_t p = 2 * p2;
-      for (std::int64_t r = 0; r < mr; ++r) {
-        const std::int8_t* arow = a + (i0 + r) * lda;
-        dst[r * 2 + 0] = static_cast<std::int16_t>(arow[p]);
-        dst[r * 2 + 1] =
-            p + 1 < kc ? static_cast<std::int16_t>(arow[p + 1]) : 0;
+/// Pack `rows` int8 rows (row pitch ld) of kc codes into one k-quad
+/// panel `width` rows wide: dst[q·width·4 + r·4 + t] = src[r][4q+t] ^ flip.
+/// A panels flip 0x80, which adds 128 and makes each code unsigned; B
+/// panels flip nothing. Padding rows and bytes past kc are zero in both,
+/// so padded quads add nothing.
+void pack_quads(const std::int8_t* src, std::int64_t ld, std::uint8_t* dst,
+                std::int64_t rows, std::int64_t width, std::int64_t kc,
+                std::uint8_t flip) {
+  const std::int64_t kq = quads_of(kc);
+  const std::int64_t full = kc / 4;
+  const std::uint32_t flip4 = flip * 0x01010101u;
+  for (std::int64_t r = 0; r < width; ++r) {
+    std::uint8_t* out = dst + r * 4;
+    if (r >= rows) {
+      for (std::int64_t q = 0; q < kq; ++q) {
+        std::memset(out + q * width * 4, 0, 4);
       }
-      for (std::int64_t r = mr; r < kMr; ++r) {
-        dst[r * 2 + 0] = 0;
-        dst[r * 2 + 1] = 0;
-      }
+      continue;
     }
-    ap += kc2 * kMr * 2;
+    const std::int8_t* row = src + r * ld;
+    for (std::int64_t q = 0; q < full; ++q) {
+      std::uint32_t quad;
+      std::memcpy(&quad, row + 4 * q, 4);
+      quad ^= flip4;
+      std::memcpy(out + q * width * 4, &quad, 4);
+    }
+    for (std::int64_t t = 0; t < 4 * (kq - full); ++t) {
+      const std::int64_t p = 4 * full + t;
+      out[full * width * 4 + t] =
+          p < kc ? static_cast<std::uint8_t>(row[p] ^ flip) : std::uint8_t{0};
+    }
   }
 }
 
-/// Pack one kc×NR sliver of Bᵀ (row-major [N, K], row pitch ldb) into
-/// int16 k-pairs: bp[p2·NR·2 + j·2 + {0,1}], nr valid columns,
-/// zero-padded to NR and to even k.
-void pack_bt_pairs(const std::int8_t* b_t, std::int64_t ldb, std::int16_t* bp,
-                   std::int64_t kc, std::int64_t nr) {
-  const std::int64_t kc2 = pairs_of(kc);
-  for (std::int64_t j = 0; j < nr; ++j) {
-    const std::int8_t* brow = b_t + j * ldb;
-    for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-      const std::int64_t p = 2 * p2;
-      bp[p2 * kNr * 2 + j * 2 + 0] = static_cast<std::int16_t>(brow[p]);
-      bp[p2 * kNr * 2 + j * 2 + 1] =
-          p + 1 < kc ? static_cast<std::int16_t>(brow[p + 1]) : 0;
-    }
-  }
-  for (std::int64_t j = nr; j < kNr; ++j) {
-    for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-      bp[p2 * kNr * 2 + j * 2 + 0] = 0;
-      bp[p2 * kNr * 2 + j * 2 + 1] = 0;
+/// Pack the whole Bᵀ ([n, k], row pitch ldb) into nr-column quad panels
+/// as the macro loop reads them: panel (kb, jp) at byte offset
+/// p0·padded_n + jp·round_up(kc, 4)·nr, padded_n·round_up(k, 4) bytes in
+/// all. `comp` (padded_n values) receives each column's compensation
+/// −128·Σₖ b[j][k], zero on the padding columns: the A shift adds
+/// 128·Σₖ b[j][k] to every accumulator of column j.
+void pack_b_all(std::int64_t nr, const std::int8_t* b_t, std::int64_t ldb,
+                std::int8_t* bpack, std::int32_t* comp, std::int64_t n,
+                std::int64_t k) {
+  const std::int64_t padded_n = round_up(n, nr);
+  const std::int64_t num_kb = (k + kKc - 1) / kKc;
+  const std::int64_t num_jp = padded_n / nr;
+#pragma omp parallel for collapse(2) schedule(static) if (n * k > kSmallProblem)
+  for (std::int64_t kb = 0; kb < num_kb; ++kb) {
+    for (std::int64_t jp = 0; jp < num_jp; ++jp) {
+      const std::int64_t p0 = kb * kKc;
+      const std::int64_t kc = std::min(kKc, k - p0);
+      const std::int64_t j0 = jp * nr;
+      const std::int64_t cols = std::min(nr, n - j0);
+      pack_quads(b_t + j0 * ldb + p0, ldb,
+                 reinterpret_cast<std::uint8_t*>(bpack) + p0 * padded_n +
+                     jp * round_up(kc, 4) * nr,
+                 cols, nr, kc, 0);
+      if (kb != 0) continue;
+      for (std::int64_t j = 0; j < nr; ++j) {
+        std::int32_t sum = 0;
+        if (j < cols) {
+          const std::int8_t* row = b_t + (j0 + j) * ldb;
+          for (std::int64_t p = 0; p < k; ++p) sum += row[p];
+        }
+        comp[j0 + j] = -128 * sum;
+      }
     }
   }
 }
 
 // -------------------------------------------------------- micro-kernels
-//
-// All variants compute the same int32 tile
-//   c[i][j] (+)= Σ_p2 ap[p2][i][0]·bp[p2][j][0] + ap[p2][i][1]·bp[p2][j][1]
-// over the packed pair panels; integer arithmetic is associative, so
-// every path is bit-identical to the naive reference.
 
-using MicroKernel = void (*)(const std::int16_t* ap, const std::int16_t* bp,
-                             std::int64_t kc2, std::int32_t* c,
-                             std::int64_t ldc, bool zero_start);
-
-[[maybe_unused]] void micro_scalar(const std::int16_t* ap,
-                                   const std::int16_t* bp, std::int64_t kc2,
-                                   std::int32_t* c, std::int64_t ldc,
-                                   bool zero_start) {
-  std::int32_t acc[kMr][kNr] = {};
-  for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-    const std::int16_t* bpair = bp + p2 * kNr * 2;
-    const std::int16_t* apair = ap + p2 * kMr * 2;
-    for (std::int64_t i = 0; i < kMr; ++i) {
-      const std::int32_t alo = apair[i * 2 + 0];
-      const std::int32_t ahi = apair[i * 2 + 1];
-      for (std::int64_t j = 0; j < kNr; ++j) {
-        acc[i][j] += alo * bpair[j * 2 + 0] + ahi * bpair[j * 2 + 1];
-      }
-    }
-  }
-  for (std::int64_t i = 0; i < kMr; ++i) {
-    std::int32_t* crow = c + i * ldc;
-    for (std::int64_t j = 0; j < kNr; ++j) {
-      crow[j] = zero_start ? acc[i][j] : crow[j] + acc[i][j];
-    }
-  }
-}
-
-#ifdef HARVEST_QGEMM_X86
-
-// SSE2 (x86-64 baseline): pmaddwd over xmm lanes. The 4×16 tile is
-// walked as two 4×8 half-tiles so accumulators + operands fit the 16
-// xmm registers.
-void micro_sse2(const std::int16_t* ap, const std::int16_t* bp,
-                std::int64_t kc2, std::int32_t* c, std::int64_t ldc,
-                bool zero_start) {
-  for (int half = 0; half < 2; ++half) {
-    const std::int16_t* bh = bp + half * 16;  // 8 columns × 2 pair lanes
-    __m128i acc[kMr][2];
-    for (auto& row : acc) row[0] = row[1] = _mm_setzero_si128();
-    for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-      const __m128i b0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bh + p2 * 32));
-      const __m128i b1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bh + p2 * 32 + 8));
-      const std::int32_t* apair =
-          reinterpret_cast<const std::int32_t*>(ap + p2 * kMr * 2);
-      for (std::int64_t i = 0; i < kMr; ++i) {
-        const __m128i av = _mm_set1_epi32(apair[i]);
-        acc[i][0] = _mm_add_epi32(acc[i][0], _mm_madd_epi16(av, b0));
-        acc[i][1] = _mm_add_epi32(acc[i][1], _mm_madd_epi16(av, b1));
-      }
-    }
-    for (std::int64_t i = 0; i < kMr; ++i) {
-      std::int32_t* crow = c + i * ldc + half * 8;
-      for (int v = 0; v < 2; ++v) {
-        __m128i out = acc[i][v];
-        if (!zero_start) {
-          out = _mm_add_epi32(
-              out, _mm_loadu_si128(reinterpret_cast<__m128i*>(crow + v * 4)));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(crow + v * 4), out);
-      }
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void micro_avx2(const std::int16_t* ap,
-                                                const std::int16_t* bp,
-                                                std::int64_t kc2,
-                                                std::int32_t* c,
-                                                std::int64_t ldc,
-                                                bool zero_start) {
-  __m256i acc[kMr][2];
-  for (auto& row : acc) row[0] = row[1] = _mm256_setzero_si256();
-  for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + p2 * 32));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + p2 * 32 + 16));
-    const std::int32_t* apair =
-        reinterpret_cast<const std::int32_t*>(ap + p2 * kMr * 2);
-    for (std::int64_t i = 0; i < kMr; ++i) {
-      const __m256i av = _mm256_set1_epi32(apair[i]);
-      acc[i][0] = _mm256_add_epi32(acc[i][0], _mm256_madd_epi16(av, b0));
-      acc[i][1] = _mm256_add_epi32(acc[i][1], _mm256_madd_epi16(av, b1));
-    }
-  }
-  for (std::int64_t i = 0; i < kMr; ++i) {
-    std::int32_t* crow = c + i * ldc;
-    for (int v = 0; v < 2; ++v) {
-      __m256i out = acc[i][v];
-      if (!zero_start) {
-        out = _mm256_add_epi32(
-            out, _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + v * 8)));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + v * 8), out);
-    }
-  }
-}
-
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11
-#define HARVEST_QGEMM_AVXVNNI 1
-// AVX-VNNI: vpdpwssd fuses the pmaddwd + paddd pair.
-__attribute__((target("avxvnni"))) void micro_avxvnni(const std::int16_t* ap,
-                                                      const std::int16_t* bp,
-                                                      std::int64_t kc2,
-                                                      std::int32_t* c,
-                                                      std::int64_t ldc,
-                                                      bool zero_start) {
-  __m256i acc[kMr][2];
-  for (auto& row : acc) row[0] = row[1] = _mm256_setzero_si256();
-  for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + p2 * 32));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + p2 * 32 + 16));
-    const std::int32_t* apair =
-        reinterpret_cast<const std::int32_t*>(ap + p2 * kMr * 2);
-    for (std::int64_t i = 0; i < kMr; ++i) {
-      const __m256i av = _mm256_set1_epi32(apair[i]);
-      acc[i][0] = _mm256_dpwssd_avx_epi32(acc[i][0], av, b0);
-      acc[i][1] = _mm256_dpwssd_avx_epi32(acc[i][1], av, b1);
-    }
-  }
-  for (std::int64_t i = 0; i < kMr; ++i) {
-    std::int32_t* crow = c + i * ldc;
-    for (int v = 0; v < 2; ++v) {
-      __m256i out = acc[i][v];
-      if (!zero_start) {
-        out = _mm256_add_epi32(
-            out, _mm256_loadu_si256(reinterpret_cast<__m256i*>(crow + v * 8)));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + v * 8), out);
-    }
-  }
-}
-#endif  // AVX-VNNI
-#endif  // HARVEST_QGEMM_X86
-
-struct KernelChoice {
-  MicroKernel fn;
-  const char* isa;
+/// Register-tile geometry of one int8 micro-kernel: W int32 lanes, MR
+/// rows × NR columns, so MR·NR/W accumulators live in vector registers.
+/// Each lane of a B vector holds one column's k-quad (four s8 bytes).
+template <int W, int MR, int NR>
+struct QTile {
+  static_assert(NR % W == 0 && kMc % MR == 0 && kNc % NR == 0);
+  static constexpr int kW = W;
+  static constexpr int kMr = MR;
+  static constexpr int kNr = NR;
+  static constexpr int kNv = NR / W;
+  typedef std::int32_t Vec __attribute__((vector_size(W * 4)));
+  /// Unaligned, aliasing view of packed panels and the scratch tile.
+  typedef std::int32_t VecU __attribute__((vector_size(W * 4),
+                                           aligned(alignof(std::int32_t)),
+                                           may_alias));
 };
 
-KernelChoice select_kernel() {
-#ifdef HARVEST_QGEMM_X86
-#ifdef HARVEST_QGEMM_AVXVNNI
-  if (__builtin_cpu_supports("avxvnni")) return {micro_avxvnni, "avxvnni"};
-#endif
-  if (__builtin_cpu_supports("avx2")) return {micro_avx2, "avx2"};
-  return {micro_sse2, "sse2"};
-#else
-  return {micro_scalar, "scalar"};
-#endif
-}
+// Each tile's dot4(acc, a, b) adds, exactly, Σₜ a_u8[t]·b_s8[t] over the
+// four bytes of every lane. None saturates: `vpmaddubsw` would, at int16
+// (255·127·2 > 32767), so no path uses it.
 
-const KernelChoice& kernel_choice() {
-  static const KernelChoice choice = select_kernel();
-  return choice;
-}
-
-// ------------------------------------------------------------ epilogues
-
-inline float apply_act(float v, QGemmEpilogue::Act act) {
-  switch (act) {
-    case QGemmEpilogue::Act::kNone: break;
-    case QGemmEpilogue::Act::kRelu: v = std::max(0.0f, v); break;
-    case QGemmEpilogue::Act::kGelu: v = gelu_scalar(v); break;
+/// Portable: multiply the even and the odd bytes as int16 lanes (a u8·s8
+/// product fits), then widen each lane's two products before adding.
+struct TilePortable : QTile<4, 4, 16> {
+  typedef std::int16_t Vec16 __attribute__((vector_size(16)));
+  static inline void dot4(Vec& acc, const Vec& a, const Vec& b) {
+    const Vec16 a16 = reinterpret_cast<Vec16>(a);
+    const Vec16 b16 = reinterpret_cast<Vec16>(b);
+    const Vec even = reinterpret_cast<Vec>((a16 & 0xff) * ((b16 << 8) >> 8));
+    const Vec odd = reinterpret_cast<Vec>(((a16 >> 8) & 0xff) * (b16 >> 8));
+    acc += ((even << 16) >> 16) + (even >> 16) + ((odd << 16) >> 16) +
+           (odd >> 16);
   }
-  return v;
+};
+
+#if HARVEST_ISA_DISPATCH
+/// AVX2: the same even/odd split, summed by two `vpmaddwd`s (a pair sum
+/// is at most 2·255·128, exact in int32).
+struct TileAvx2 : QTile<8, 4, 16> {
+  HARVEST_TARGET_AVX2 static inline void dot4(Vec& acc, const Vec& a,
+                                              const Vec& b) {
+    const __m256i av = reinterpret_cast<__m256i>(a);
+    const __m256i bv = reinterpret_cast<__m256i>(b);
+    const __m256i a_even = _mm256_and_si256(av, _mm256_set1_epi16(0xff));
+    const __m256i b_even = _mm256_srai_epi16(_mm256_slli_epi16(bv, 8), 8);
+    acc += reinterpret_cast<Vec>(_mm256_madd_epi16(a_even, b_even)) +
+           reinterpret_cast<Vec>(_mm256_madd_epi16(
+               _mm256_srli_epi16(av, 8), _mm256_srai_epi16(bv, 8)));
+  }
+};
+
+/// AVX-VNNI: one VEX `vpdpbusd` per B vector (6×16 in 16 ymm registers).
+struct TileAvxVnni : QTile<8, 6, 16> {
+  HARVEST_TARGET_AVXVNNI static inline void dot4(Vec& acc, const Vec& a,
+                                                 const Vec& b) {
+    acc = reinterpret_cast<Vec>(_mm256_dpbusd_avx_epi32(
+        reinterpret_cast<__m256i>(acc), reinterpret_cast<__m256i>(a),
+        reinterpret_cast<__m256i>(b)));
+  }
+};
+
+/// AVX-512-VNNI: 8×32 = 16 zmm accumulators + 2 B vectors of 32
+/// registers; `vpdpbusd` issues once per cycle.
+struct TileAvx512Vnni : QTile<16, 8, 32> {
+  HARVEST_TARGET_AVX512VNNI static inline void dot4(Vec& acc, const Vec& a,
+                                                    const Vec& b) {
+    acc = reinterpret_cast<Vec>(_mm512_dpbusd_epi32(
+        reinterpret_cast<__m512i>(acc), reinterpret_cast<__m512i>(a),
+        reinterpret_cast<__m512i>(b)));
+  }
+};
+#endif
+
+/// The one int8 micro-kernel body, instantiated per ISA (QGemmKernel
+/// states the contract). Integer arithmetic throughout, so every
+/// instance is bit-identical to the naive reference.
+template <class T>
+HARVEST_FORCE_INLINE void qmicro_body(const std::uint8_t* ap,
+                                      const std::int8_t* bp, std::int64_t kq,
+                                      const std::int32_t* init,
+                                      std::int32_t* c, std::int64_t ldc) {
+  using V = typename T::Vec;
+  using VU = typename T::VecU;
+  typedef std::int32_t QuadU __attribute__((may_alias));
+  V acc[T::kMr][T::kNv];
+#pragma GCC unroll 16
+  for (int i = 0; i < T::kMr; ++i) {
+#pragma GCC unroll 8
+    for (int v = 0; v < T::kNv; ++v) {
+      acc[i][v] = init != nullptr
+                      ? *reinterpret_cast<const VU*>(init + v * T::kW)
+                      : *reinterpret_cast<const VU*>(c + i * ldc + v * T::kW);
+    }
+  }
+  const QuadU* aq = reinterpret_cast<const QuadU*>(ap);
+  for (std::int64_t q = 0; q < kq; ++q) {
+    const VU* brow = reinterpret_cast<const VU*>(bp + q * T::kNr * 4);
+    V b[T::kNv];
+#pragma GCC unroll 8
+    for (int v = 0; v < T::kNv; ++v) b[v] = brow[v];
+#pragma GCC unroll 16
+    for (int i = 0; i < T::kMr; ++i) {
+      const V a = V{} + aq[q * T::kMr + i];
+#pragma GCC unroll 8
+      for (int v = 0; v < T::kNv; ++v) T::dot4(acc[i][v], a, b[v]);
+    }
+  }
+#pragma GCC unroll 16
+  for (int i = 0; i < T::kMr; ++i) {
+#pragma GCC unroll 8
+    for (int v = 0; v < T::kNv; ++v) {
+      *reinterpret_cast<VU*>(c + i * ldc + v * T::kW) = acc[i][v];
+    }
+  }
 }
 
-inline float dequant_one(std::int32_t acc, std::int64_t i, std::int64_t j,
-                         const QGemmEpilogue& ep) {
-  float v = static_cast<float>(acc);
-  if (ep.scale_m != nullptr) v *= ep.scale_m[i];
-  if (ep.scale_n != nullptr) v *= ep.scale_n[j];
-  if (ep.bias_m != nullptr) v += ep.bias_m[i];
-  if (ep.bias_n != nullptr) v += ep.bias_n[j];
-  return apply_act(v, ep.act);
+// One wrapper per tile. They are `flatten` because each dot4 carries a
+// target attribute of its own (its intrinsics need one), and a target
+// function inlines only into a caller of that target: the wrapper, not
+// the generic body.
+#define HARVEST_INT8_MICRO(name, target, Tile)                        \
+  target __attribute__((flatten)) void name(                          \
+      const std::uint8_t* ap, const std::int8_t* bp, std::int64_t kq, \
+      const std::int32_t* init, std::int32_t* c, std::int64_t ldc) {  \
+    qmicro_body<Tile>(ap, bp, kq, init, c, ldc);                      \
+  }
+
+HARVEST_INT8_MICRO(micro_portable, , TilePortable)
+#if HARVEST_ISA_DISPATCH
+HARVEST_INT8_MICRO(micro_avx2, HARVEST_TARGET_AVX2, TileAvx2)
+HARVEST_INT8_MICRO(micro_avxvnni, HARVEST_TARGET_AVXVNNI, TileAvxVnni)
+HARVEST_INT8_MICRO(micro_avx512vnni, HARVEST_TARGET_AVX512VNNI,
+                   TileAvx512Vnni)
+#endif
+#undef HARVEST_INT8_MICRO
+
+template <class T>
+constexpr QGemmKernel kernel_entry(QGemmKernel::Fn fn, const char* name) {
+  return QGemmKernel{fn, name, T::kMr, T::kNr};
 }
+
+/// The host's kernels, best first; the first is the dispatched one.
+const std::vector<QGemmKernel>& kernel_table() {
+  static const std::vector<QGemmKernel> kernels = [] {
+    std::vector<QGemmKernel> host;
+#if HARVEST_ISA_DISPATCH
+    if (isa::has_avx512vnni()) {
+      host.push_back(
+          kernel_entry<TileAvx512Vnni>(micro_avx512vnni, "avx512vnni"));
+    }
+    if (isa::has_avxvnni()) {
+      host.push_back(kernel_entry<TileAvxVnni>(micro_avxvnni, "avxvnni"));
+    }
+    if (isa::has_avx2_fma()) {
+      host.push_back(kernel_entry<TileAvx2>(micro_avx2, "avx2"));
+    }
+#endif
+    host.push_back(kernel_entry<TilePortable>(micro_portable, "portable"));
+    return host;
+  }();
+  return kernels;
+}
+
+const QGemmKernel& dispatched() { return kernel_table().front(); }
+
+// ------------------------------------------------------------- epilogue
 
 /// Retire one finished int32 tile (mc×nc at scratch, row pitch lds)
-/// into fp32 C while it is cache-hot.
+/// into fp32 C while it is cache-hot:
+///   v = float(acc) · scale_m[i] · scale_n[j] + bias_m[i] + bias_n[j],
+/// then the activation, then c = v or c += v — one unswitched pass over
+/// the row per step, in that order, so each pass vectorizes and every
+/// element rounds as the scalar sequence does. This file targets the
+/// baseline ISA, which has no FMA to contract into. GELU is scalar erf.
 void retire_tile_dequant(const std::int32_t* scratch, std::int64_t lds,
                          float* c, std::int64_t ldc, std::int64_t i0,
                          std::int64_t j0, std::int64_t mc, std::int64_t nc,
                          const QGemmEpilogue& ep) {
+  float v[kNc];
   for (std::int64_t i = 0; i < mc; ++i) {
     const std::int32_t* srow = scratch + i * lds;
     float* crow = c + (i0 + i) * ldc + j0;
+    for (std::int64_t j = 0; j < nc; ++j) v[j] = static_cast<float>(srow[j]);
+    if (ep.scale_m != nullptr) {
+      const float s = ep.scale_m[i0 + i];
+      for (std::int64_t j = 0; j < nc; ++j) v[j] *= s;
+    }
+    if (ep.scale_n != nullptr) {
+      const float* s = ep.scale_n + j0;
+      for (std::int64_t j = 0; j < nc; ++j) v[j] *= s[j];
+    }
+    if (ep.bias_m != nullptr) {
+      const float b = ep.bias_m[i0 + i];
+      for (std::int64_t j = 0; j < nc; ++j) v[j] += b;
+    }
+    if (ep.bias_n != nullptr) {
+      const float* b = ep.bias_n + j0;
+      for (std::int64_t j = 0; j < nc; ++j) v[j] += b[j];
+    }
+    switch (ep.act) {
+      case QGemmEpilogue::Act::kNone: break;
+      case QGemmEpilogue::Act::kRelu:
+        for (std::int64_t j = 0; j < nc; ++j) v[j] = std::max(0.0f, v[j]);
+        break;
+      case QGemmEpilogue::Act::kGelu:
+        for (std::int64_t j = 0; j < nc; ++j) v[j] = gelu_scalar(v[j]);
+        break;
+    }
     if (ep.accumulate) {
-      for (std::int64_t j = 0; j < nc; ++j) {
-        crow[j] += dequant_one(srow[j], i0 + i, j0 + j, ep);
-      }
+      for (std::int64_t j = 0; j < nc; ++j) crow[j] += v[j];
     } else {
-      for (std::int64_t j = 0; j < nc; ++j) {
-        crow[j] = dequant_one(srow[j], i0 + i, j0 + j, ep);
-      }
+      std::memcpy(crow, v, static_cast<std::size_t>(nc) * sizeof(float));
     }
   }
 }
@@ -313,98 +339,34 @@ T* grow_scratch(tensor::AlignedBuffer& buf, std::size_t elems) {
   return buf.as<T>();
 }
 
-/// Shared B-panel layout bookkeeping: element offset of the (kb, jp)
-/// panel inside a packed-B buffer. Non-final K blocks contribute
-/// exactly kKc/2 pairs each.
-inline std::int64_t panel_offset(std::int64_t kb, std::int64_t jp,
-                                 std::int64_t kc2, std::int64_t padded_n) {
-  return (kb * (kKc / 2) * padded_n + jp * kc2 * kNr) * 2;
-}
-
-inline std::int64_t packed_b_elems(std::int64_t n, std::int64_t k) {
-  const std::int64_t padded_n = (n + kNr - 1) / kNr * kNr;
-  const std::int64_t num_kb = (k + kKc - 1) / kKc;
-  const std::int64_t full_pairs = (num_kb - 1) * (kKc / 2);
-  const std::int64_t last_pairs = pairs_of(k - (num_kb - 1) * kKc);
-  return (full_pairs + last_pairs) * padded_n * 2;
-}
-
-void pack_b_all(const std::int8_t* b_t, std::int64_t ldb, std::int16_t* bpack,
-                std::int64_t n, std::int64_t k) {
-  const std::int64_t padded_n = (n + kNr - 1) / kNr * kNr;
-  const std::int64_t num_kb = (k + kKc - 1) / kKc;
-  const std::int64_t num_jp = padded_n / kNr;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t kb = 0; kb < num_kb; ++kb) {
-    for (std::int64_t jp = 0; jp < num_jp; ++jp) {
-      const std::int64_t p0 = kb * kKc;
-      const std::int64_t kc = std::min(kKc, k - p0);
-      const std::int64_t j0 = jp * kNr;
-      const std::int64_t nr = std::min(kNr, n - j0);
-      pack_bt_pairs(b_t + j0 * ldb + p0, ldb,
-                    bpack + panel_offset(kb, jp, pairs_of(kc), padded_n), kc,
-                    nr);
-    }
-  }
-}
-
-/// Naive small-problem path with optional dequant epilogue. `ci`
-/// receives raw int32 (may be null), `cf` the dequantized fp32 output
-/// (may be null); exactly one is set.
-void qgemm_small(const std::int8_t* a, const std::int8_t* b_t, std::int32_t* ci,
-                 float* cf, std::int64_t m, std::int64_t n, std::int64_t k,
-                 const QGemmEpilogue& ep) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int8_t* brow = b_t + j * k;
-      std::int32_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        acc += static_cast<std::int32_t>(arow[p]) *
-               static_cast<std::int32_t>(brow[p]);
-      }
-      if (ci != nullptr) {
-        ci[i * n + j] = acc;
-      } else {
-        float v = dequant_one(acc, i, j, ep);
-        cf[i * n + j] = ep.accumulate ? cf[i * n + j] + v : v;
-      }
-    }
-  }
+inline std::size_t packed_b_bytes(std::int64_t nr, std::int64_t n,
+                                  std::int64_t k) {
+  return static_cast<std::size_t>(round_up(n, nr) * round_up(k, 4));
 }
 
 /// Packed-panel driver shared by every public entry point. The int32
 /// accumulator tile lives in a thread-local scratch (never in C, which
 /// may be fp32); tiles retire through `retire` while still cache-hot.
-/// `bpack` may be pre-packed weights; when null, B is packed on the fly
-/// into a thread-local buffer shared across calls.
+/// `bpack` and `comp` are B as pack_b_all lays it out for `kern`.
 template <typename Retire>
-void qgemm_driver(const std::int8_t* a, const std::int8_t* b_t,
-                  const std::int16_t* prepacked_b, std::int64_t m,
-                  std::int64_t n, std::int64_t k, const Retire& retire) {
-  const std::int64_t padded_n = (n + kNr - 1) / kNr * kNr;
+void qgemm_driver(const QGemmKernel& kern, const std::int8_t* a,
+                  const std::int8_t* bpack, const std::int32_t* comp,
+                  std::int64_t m, std::int64_t n, std::int64_t k,
+                  const Retire& retire) {
+  const std::int64_t mr = kern.mr;
+  const std::int64_t nr = kern.nr;
+  const std::int64_t padded_n = round_up(n, nr);
   const std::int64_t num_kb = (k + kKc - 1) / kKc;
-
-  const std::int16_t* bpack = prepacked_b;
-  if (bpack == nullptr) {
-    static thread_local tensor::AlignedBuffer bpack_tl;
-    std::int16_t* grown = grow_scratch<std::int16_t>(
-        bpack_tl, static_cast<std::size_t>(packed_b_elems(n, k)));
-    pack_b_all(b_t, k, grown, n, k);
-    bpack = grown;
-  }
-
   const std::int64_t num_ib = (m + kMc - 1) / kMc;
   const std::int64_t num_jb = (n + kNc - 1) / kNc;
 
-#pragma omp parallel
+#pragma omp parallel if (m * n * k > kSmallProblem)
   {
     // Packed A block plus the int32 accumulator tile, both per thread.
     static thread_local tensor::AlignedBuffer apack_tl;
     static thread_local tensor::AlignedBuffer ctile_tl;
-    std::int16_t* apack = grow_scratch<std::int16_t>(
-        apack_tl, static_cast<std::size_t>(((kMc + kMr - 1) / kMr) * kMr * 2 *
-                                           pairs_of(kKc)));
+    std::uint8_t* apack = grow_scratch<std::uint8_t>(
+        apack_tl, static_cast<std::size_t>(kMc * kKc));
     std::int32_t* ctile = grow_scratch<std::int32_t>(
         ctile_tl, static_cast<std::size_t>(kMc * kNc));
 
@@ -418,19 +380,22 @@ void qgemm_driver(const std::int8_t* a, const std::int8_t* b_t,
         for (std::int64_t kb = 0; kb < num_kb; ++kb) {
           const std::int64_t p0 = kb * kKc;
           const std::int64_t kc = std::min(kKc, k - p0);
-          const std::int64_t kc2 = pairs_of(kc);
-          pack_a_pairs(a + i0 * k + p0, k, apack, mc, kc);
-          const bool zero_start = kb == 0;
-          for (std::int64_t jr = 0; jr < nc; jr += kNr) {
-            const std::int64_t jp = (j0 + jr) / kNr;
-            const std::int16_t* bp =
-                bpack + panel_offset(kb, jp, kc2, padded_n);
-            for (std::int64_t ir = 0; ir < mc; ir += kMr) {
+          const std::int64_t kq = quads_of(kc);
+          for (std::int64_t ir = 0; ir < mc; ir += mr) {
+            pack_quads(a + (i0 + ir) * k + p0, k, apack + ir * kq * 4,
+                       std::min(mr, mc - ir), mr, kc, 0x80);
+          }
+          for (std::int64_t jr = 0; jr < nc; jr += nr) {
+            const std::int8_t* bp = bpack + p0 * padded_n + (j0 + jr) * kq * 4;
+            // The first K block starts from the compensation, later
+            // ones from the partial sums in the tile.
+            const std::int32_t* init = kb == 0 ? comp + j0 + jr : nullptr;
+            for (std::int64_t ir = 0; ir < mc; ir += mr) {
               // The scratch tile is full-size, so the micro-kernel
               // always writes a complete MR×NR tile; only the valid
               // mc×nc region retires to C.
-              kernel_choice().fn(apack + (ir / kMr) * kc2 * kMr * 2, bp, kc2,
-                                 ctile + ir * kNc + jr, kNc, zero_start);
+              kern.fn(apack + ir * kq * 4, bp, kq, init, ctile + ir * kNc + jr,
+                      kNc);
             }
           }
         }
@@ -440,56 +405,87 @@ void qgemm_driver(const std::int8_t* a, const std::int8_t* b_t,
   }
 }
 
+/// The driver over Bᵀ packed per call, into thread-local buffers reused
+/// across calls.
+template <typename Retire>
+void qgemm_packing_b(const QGemmKernel& kern, const std::int8_t* a,
+                     const std::int8_t* b_t, std::int64_t m, std::int64_t n,
+                     std::int64_t k, const Retire& retire) {
+  static thread_local tensor::AlignedBuffer panels_tl;
+  static thread_local tensor::AlignedBuffer comp_tl;
+  std::int8_t* panels =
+      grow_scratch<std::int8_t>(panels_tl, packed_b_bytes(kern.nr, n, k));
+  std::int32_t* comp = grow_scratch<std::int32_t>(
+      comp_tl, static_cast<std::size_t>(round_up(n, kern.nr)));
+  pack_b_all(kern.nr, b_t, k, panels, comp, n, k);
+  qgemm_driver(kern, a, panels, comp, m, n, k, retire);
+}
+
 }  // namespace
+
+std::span<const QGemmKernel> qgemm_kernels() { return kernel_table(); }
 
 void qgemm_bt_naive(const std::int8_t* a, const std::int8_t* b_t,
                     std::int32_t* c, std::int64_t m, std::int64_t n,
                     std::int64_t k) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  qgemm_small(a, b_t, c, nullptr, m, n, k, QGemmEpilogue{});
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int32_t acc = 0;
+      for (std::int64_t p = 0; p < k; ++p) {
+        acc += static_cast<std::int32_t>(a[i * k + p]) *
+               static_cast<std::int32_t>(b_t[j * k + p]);
+      }
+      c[i * n + j] = acc;
+    }
+  }
 }
 
 void qgemm_bt(const std::int8_t* a, const std::int8_t* b_t, std::int32_t* c,
               std::int64_t m, std::int64_t n, std::int64_t k) {
+  qgemm_bt_with_kernel(dispatched(), a, b_t, c, m, n, k);
+}
+
+void qgemm_bt_with_kernel(const QGemmKernel& kernel, const std::int8_t* a,
+                          const std::int8_t* b_t, std::int32_t* c,
+                          std::int64_t m, std::int64_t n, std::int64_t k) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  if (m * n * k <= kSmallProblem) {
-    qgemm_small(a, b_t, c, nullptr, m, n, k, QGemmEpilogue{});
-    return;
-  }
-  qgemm_driver(a, b_t, nullptr, m, n, k,
-               [&](const std::int32_t* tile, std::int64_t i0, std::int64_t j0,
-                   std::int64_t mc, std::int64_t nc) {
-                 for (std::int64_t i = 0; i < mc; ++i) {
-                   std::memcpy(c + (i0 + i) * n + j0, tile + i * kNc,
-                               static_cast<std::size_t>(nc) *
-                                   sizeof(std::int32_t));
-                 }
-               });
+  qgemm_packing_b(kernel, a, b_t, m, n, k,
+                  [&](const std::int32_t* tile, std::int64_t i0,
+                      std::int64_t j0, std::int64_t mc, std::int64_t nc) {
+                    for (std::int64_t i = 0; i < mc; ++i) {
+                      std::memcpy(c + (i0 + i) * n + j0, tile + i * kNc,
+                                  static_cast<std::size_t>(nc) *
+                                      sizeof(std::int32_t));
+                    }
+                  });
 }
 
 void qgemm_bt_dequant(const std::int8_t* a, const std::int8_t* b_t, float* c,
                       std::int64_t m, std::int64_t n, std::int64_t k,
                       const QGemmEpilogue& epilogue) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  if (m * n * k <= kSmallProblem) {
-    qgemm_small(a, b_t, nullptr, c, m, n, k, epilogue);
-    return;
-  }
-  qgemm_driver(a, b_t, nullptr, m, n, k,
-               [&](const std::int32_t* tile, std::int64_t i0, std::int64_t j0,
-                   std::int64_t mc, std::int64_t nc) {
-                 retire_tile_dequant(tile, kNc, c, n, i0, j0, mc, nc, epilogue);
-               });
+  qgemm_packing_b(dispatched(), a, b_t, m, n, k,
+                  [&](const std::int32_t* tile, std::int64_t i0,
+                      std::int64_t j0, std::int64_t mc, std::int64_t nc) {
+                    retire_tile_dequant(tile, kNc, c, n, i0, j0, mc, nc,
+                                        epilogue);
+                  });
 }
 
 QGemmPackedB::QGemmPackedB(const std::int8_t* b_t, std::int64_t n,
                            std::int64_t k)
-    : n_(n), k_(k),
-      panels_(static_cast<std::size_t>(packed_b_elems(n, k)) *
-              sizeof(std::int16_t)) {
-  // pack_b_all writes every element (padding included), so the
+    : QGemmPackedB(dispatched(), b_t, n, k) {}
+
+QGemmPackedB::QGemmPackedB(const QGemmKernel& kernel, const std::int8_t* b_t,
+                           std::int64_t n, std::int64_t k)
+    : kernel_(kernel), n_(n), k_(k),
+      panels_(packed_b_bytes(kernel.nr, n, k)),
+      compensation_(static_cast<std::size_t>(round_up(n, kernel.nr)) *
+                    sizeof(std::int32_t)) {
+  // pack_b_all writes every byte (padding included), so the
   // uninitialized aligned storage never leaks into the accumulators.
-  pack_b_all(b_t, k, panels_.as<std::int16_t>(), n, k);
+  pack_b_all(kernel.nr, b_t, k, panels_.as<std::int8_t>(),
+             compensation_.as<std::int32_t>(), n, k);
 }
 
 void qgemm_prepacked_dequant(const std::int8_t* a, const QGemmPackedB& b,
@@ -498,13 +494,13 @@ void qgemm_prepacked_dequant(const std::int8_t* a, const QGemmPackedB& b,
   const std::int64_t n = b.n();
   const std::int64_t k = b.k();
   if (m <= 0 || n <= 0 || k <= 0) return;
-  qgemm_driver(a, nullptr, b.data(), m, n, k,
+  qgemm_driver(b.kernel(), a, b.data(), b.compensation(), m, n, k,
                [&](const std::int32_t* tile, std::int64_t i0, std::int64_t j0,
                    std::int64_t mc, std::int64_t nc) {
                  retire_tile_dequant(tile, kNc, c, n, i0, j0, mc, nc, epilogue);
                });
 }
 
-const char* qgemm_isa() { return kernel_choice().isa; }
+const char* qgemm_isa() { return dispatched().name; }
 
 }  // namespace harvest::nn

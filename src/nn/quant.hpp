@@ -29,8 +29,9 @@ namespace harvest::nn {
 class Model;
 
 /// Symmetric quantization of a float span to int8: scale = max|x| / 127,
-/// q = round(x / scale), clamped to ±127 so -128 is never produced.
-/// Returns the scale (0 when all inputs are 0).
+/// q = std::round(x · (1 / scale)) (half away from zero), clamped to ±127
+/// so -128 is never produced. Returns the scale (0 when all inputs are
+/// 0). Vector code picked by host ISA; every ISA gives the same bytes.
 float quantize_symmetric(std::span<const float> input, std::int8_t* output);
 
 /// Dequantize: x ≈ q · scale.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 namespace harvest::nn {
@@ -83,6 +84,7 @@ core::Status load_params(const std::vector<NamedParam>& params,
 
   std::map<std::string, NamedParam> by_name;
   for (const NamedParam& param : params) by_name[param.name] = param;
+  std::set<std::string> seen;
   if (count != by_name.size()) {
     return core::Status::invalid_argument(
         path + ": tensor count mismatch (file " + std::to_string(count) +
@@ -123,6 +125,12 @@ core::Status load_params(const std::vector<NamedParam>& params,
     if (it == by_name.end()) {
       return core::Status::invalid_argument(path + ": unknown tensor " + name);
     }
+    // The count matches the model's, so a record stored twice means
+    // another one is missing, and that tensor would keep its old values.
+    if (!seen.insert(name).second) {
+      return core::Status::invalid_argument(path + ": duplicate tensor " +
+                                            name);
+    }
     if (it->second.tensor->shape() != shape) {
       return core::Status::invalid_argument(
           path + ": shape mismatch for " + name + " (file " +
@@ -133,6 +141,10 @@ core::Status load_params(const std::vector<NamedParam>& params,
                   it->second.tensor->size_bytes())) {
       return core::Status::invalid_argument(path + ": truncated data for " + name);
     }
+  }
+  if (std::fgetc(f.get()) != EOF) {
+    return core::Status::invalid_argument(
+        path + ": trailing bytes after the last tensor");
   }
   return core::Status::ok();
 }

@@ -1,5 +1,6 @@
 #include "serving/metrics.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -181,6 +182,10 @@ void MetricsRegistry::record_sequence(
   RequestTiming timing;
   timing.queue_s = response.timing.queue_s;
   timing.total_s = response.timing.total_s;
+  // A sequence has no preprocessing stage; everything after admission
+  // (prefill and decode) is its inference time.
+  timing.inference_s =
+      std::max(0.0, response.timing.total_s - response.timing.queue_s);
   RequestOutcome outcome = RequestOutcome::kFailed;
   switch (response.outcome) {
     case SequenceOutcome::kOk: outcome = RequestOutcome::kOk; break;

@@ -16,6 +16,7 @@
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
+#include "nn/qgemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace harvest::nn {
@@ -185,7 +186,7 @@ void fill_int8(std::vector<std::int8_t>& v, std::uint64_t seed) {
 
 TEST(QGemm, PackedMatchesNaiveOnAwkwardShapes) {
   // Shapes chosen to hit every edge of the blocking: M%MR, N%NR, odd K
-  // (the int16 pair packing zero-pads), K straddling the KC=256 block
+  // (the k-quad packing zero-pads), K straddling the KC=256 block
   // boundary, M straddling MC=96, and degenerate single-row/column.
   struct Case {
     std::int64_t m, n, k;
@@ -231,6 +232,160 @@ TEST(QGemm, NoInt32OverflowAtWorstCaseK) {
                     got[static_cast<std::size_t>(i * kN + j)]),
                 expect);
     }
+  }
+}
+
+TEST(QGemmKernels, EveryEntryIsInt32Exact) {
+  // Every kernel the host runs, through on-the-fly and ahead-of-time
+  // packing, on shapes that hit each packing tail: K % 4 in {1, 2, 3}
+  // (zero-padded quads), K straddling KC = 256, M straddling MC = 96,
+  // N % NR != 0, m = 1, and all-±127 operands at K = 3072. Operands
+  // span the whole int8 range, -128 included.
+  struct Case {
+    std::int64_t m, n, k;
+    bool extreme;
+  };
+  const std::vector<Case> cases = {
+      {9, 35, 13, false},   {10, 33, 14, false},   {11, 47, 15, false},
+      {17, 64, 255, false}, {13, 40, 257, false},  {7, 31, 513, false},
+      {97, 19, 36, false},  {193, 70, 41, false},  {1, 77, 129, false},
+      {1, 1, 6, false},     {5, 18, 3072, true}};
+  ASSERT_FALSE(qgemm_kernels().empty());
+  EXPECT_STREQ(qgemm_kernels().front().name, qgemm_isa());
+  for (const QGemmKernel& kernel : qgemm_kernels()) {
+    for (const Case& c : cases) {
+      std::vector<std::int8_t> a(static_cast<std::size_t>(c.m * c.k));
+      std::vector<std::int8_t> bt(static_cast<std::size_t>(c.n * c.k));
+      if (c.extreme) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          a[i] = i % 3 == 0 ? -127 : 127;
+        }
+        for (std::size_t i = 0; i < bt.size(); ++i) {
+          bt[i] = i % 2 == 0 ? 127 : -127;
+        }
+      } else {
+        core::Rng rng(static_cast<std::uint64_t>(c.m * 1000 + c.n * 10 + c.k));
+        for (auto& x : a) {
+          x = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        }
+        for (auto& x : bt) {
+          x = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        }
+      }
+      std::vector<std::int32_t> want(static_cast<std::size_t>(c.m * c.n));
+      std::vector<std::int32_t> got(want.size(), -1);
+      qgemm_bt_naive(a.data(), bt.data(), want.data(), c.m, c.n, c.k);
+      qgemm_bt_with_kernel(kernel, a.data(), bt.data(), got.data(), c.m, c.n,
+                           c.k);
+      EXPECT_EQ(want, got) << kernel.name << " shape " << c.m << "x" << c.n
+                           << "x" << c.k;
+
+      // Prepacked: with no scales the retire is float(acc), so the
+      // output equals the exact accumulators converted once.
+      const QGemmPackedB packed(kernel, bt.data(), c.n, c.k);
+      ASSERT_EQ(packed.kernel().fn, kernel.fn);
+      std::vector<float> fgot(want.size(), -1.0f);
+      qgemm_prepacked_dequant(a.data(), packed, fgot.data(), c.m,
+                              QGemmEpilogue{});
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(fgot[i], static_cast<float>(want[i]))
+            << kernel.name << " prepacked shape " << c.m << "x" << c.n << "x"
+            << c.k << " at " << i;
+      }
+    }
+  }
+}
+
+/// The scalar definition of the row quantization: std::round, then a
+/// clamp to ±127.
+float quantize_reference(const float* x, std::int64_t n, std::int8_t* out) {
+  float peak = 0.0f;
+  for (std::int64_t i = 0; i < n; ++i) peak = std::max(peak, std::fabs(x[i]));
+  if (peak == 0.0f) {
+    std::fill(out, out + n, std::int8_t{0});
+    return 0.0f;
+  }
+  const float scale = peak / 127.0f;
+  const float inv = 1.0f / scale;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float q = std::round(x[i] * inv);
+    out[i] = static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
+  }
+  return scale;
+}
+
+TEST(Quantize, RowsMatchScalarRoundReferenceBytewise) {
+  for (const std::int64_t dim : {1, 15, 17, 193}) {
+    std::vector<float> input;
+    // Peak 127 makes scale and inv exactly 1, so these are the products:
+    // exact ties (±k.5) and the largest float below 0.5.
+    const std::vector<float> ties = {
+        0.5f,        -0.5f,        1.5f,       -2.5f, 126.5f, -126.5f,
+        0.49999997f, -0.49999997f, 2.4999998f, -3.5f, 64.5f,  -0.0f};
+    std::int64_t rows = 0;
+    const auto add_row = [&](const std::function<float(std::int64_t)>& gen) {
+      for (std::int64_t d = 0; d < dim; ++d) input.push_back(gen(d));
+      ++rows;
+    };
+    add_row([&](std::int64_t d) {
+      return d == 0 ? 127.0f : ties[static_cast<std::size_t>(d) % ties.size()];
+    });
+    add_row([&](std::int64_t d) {
+      return d == 0 ? -127.0f
+                    : ties[static_cast<std::size_t>(d + 5) % ties.size()];
+    });
+    add_row([](std::int64_t) { return 0.0f; });  // zero row
+    add_row([](std::int64_t d) { return d % 2 == 0 ? 0.1274f : -0.05f; });
+    core::Rng rng(static_cast<std::uint64_t>(dim));
+    for (int r = 0; r < 64; ++r) {
+      // Random rows at many scales, some with one outlier that sets the
+      // scale; peaks whose product rounds past 127 clamp.
+      const float magnitude =
+          std::ldexp(1.0f, r % 24 - 12) * (1.0f + rng.next_float());
+      const std::int64_t outlier =
+          r % 3 == 0 ? rng.uniform_int(0, dim - 1) : -1;
+      add_row([&](std::int64_t d) {
+        const float v = (rng.next_float() * 2.0f - 1.0f) * magnitude;
+        return d == outlier ? v * 50.0f : v;
+      });
+    }
+    add_row([](std::int64_t) { return 0.0f; });  // zero row last
+
+    std::vector<std::int8_t> want(input.size());
+    std::vector<float> want_scales(static_cast<std::size_t>(rows));
+    std::int64_t clamped = 0;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float* row = input.data() + r * dim;
+      want_scales[static_cast<std::size_t>(r)] =
+          quantize_reference(row, dim, want.data() + r * dim);
+      const float scale = want_scales[static_cast<std::size_t>(r)];
+      // A peak's product can land just past 127 (0.1274f · (1 / (0.1274f
+      // / 127)) is 127.000008), and the clamp must act on it.
+      for (std::int64_t d = 0; scale > 0.0f && d < dim; ++d) {
+        if (std::fabs(row[d] * (1.0f / scale)) > 127.0f) ++clamped;
+      }
+    }
+    std::vector<std::int8_t> got(input.size(), 1);
+    std::vector<float> scales(static_cast<std::size_t>(rows), -1.0f);
+    quantize_rows(input.data(), rows, dim, got.data(), scales.data());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size()), 0)
+        << "dim " << dim;
+    EXPECT_EQ(std::memcmp(want_scales.data(), scales.data(),
+                          scales.size() * sizeof(float)),
+              0)
+        << "dim " << dim;
+    std::vector<std::int8_t> single(static_cast<std::size_t>(dim));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float scale = quantize_symmetric(
+          {input.data() + r * dim, static_cast<std::size_t>(dim)},
+          single.data());
+      EXPECT_EQ(scale, want_scales[static_cast<std::size_t>(r)]);
+      EXPECT_EQ(std::memcmp(single.data(), want.data() + r * dim,
+                            static_cast<std::size_t>(dim)),
+                0)
+          << "dim " << dim << " row " << r;
+    }
+    EXPECT_GT(clamped, 0) << "dim " << dim;
   }
 }
 
@@ -321,6 +476,64 @@ TEST(QGemm, DequantEpilogueMatchesScalarReference) {
                       1e-5f * (std::fabs(v) + 1.0f));
         }
       }
+    }
+  }
+}
+
+TEST(QGemm, DequantRetireIsBitwiseTheScalarFormula) {
+  // The vectorized retire must round every element exactly as
+  // dequant_one's sequence does: float(acc) · scale_m · scale_n
+  // + bias_m + bias_n, then the activation, then + c when accumulating.
+  constexpr std::int64_t kM = 101, kN = 531, kK = 70;
+  std::vector<std::int8_t> a(kM * kK);
+  std::vector<std::int8_t> bt(kN * kK);
+  fill_int8(a, 101);
+  fill_int8(bt, 531);
+  std::vector<std::int32_t> acc(kM * kN);
+  qgemm_bt_naive(a.data(), bt.data(), acc.data(), kM, kN, kK);
+  core::Rng rng(12);
+  std::vector<float> scale_m(kM), scale_n(kN), bias_m(kM), bias_n(kN),
+      start(kM * kN);
+  for (float& x : scale_m) x = rng.next_float() * 0.01f + 1e-4f;
+  for (float& x : scale_n) x = rng.next_float() * 0.01f + 1e-4f;
+  for (float& x : bias_m) x = rng.next_float() - 0.5f;
+  for (float& x : bias_n) x = rng.next_float() - 0.5f;
+  for (float& x : start) x = rng.next_float() - 0.5f;
+  for (const QGemmEpilogue::Act act :
+       {QGemmEpilogue::Act::kNone, QGemmEpilogue::Act::kRelu}) {
+    for (const bool accumulate : {false, true}) {
+      QGemmEpilogue ep;
+      ep.scale_m = scale_m.data();
+      ep.scale_n = scale_n.data();
+      ep.bias_m = bias_m.data();
+      ep.bias_n = bias_n.data();
+      ep.act = act;
+      ep.accumulate = accumulate;
+      std::vector<float> want = start;
+      for (std::int64_t i = 0; i < kM; ++i) {
+        for (std::int64_t j = 0; j < kN; ++j) {
+          float v = static_cast<float>(acc[static_cast<std::size_t>(i * kN + j)]);
+          v *= scale_m[static_cast<std::size_t>(i)];
+          v *= scale_n[static_cast<std::size_t>(j)];
+          v += bias_m[static_cast<std::size_t>(i)];
+          v += bias_n[static_cast<std::size_t>(j)];
+          if (act == QGemmEpilogue::Act::kRelu) v = std::max(0.0f, v);
+          float& out = want[static_cast<std::size_t>(i * kN + j)];
+          out = accumulate ? out + v : v;
+        }
+      }
+      std::vector<float> got = start;
+      qgemm_bt_dequant(a.data(), bt.data(), got.data(), kM, kN, kK, ep);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+                0)
+          << "act " << static_cast<int>(act) << " accumulate " << accumulate;
+      const QGemmPackedB packed(bt.data(), kN, kK);
+      std::vector<float> pgot = start;
+      qgemm_prepacked_dequant(a.data(), packed, pgot.data(), kM, ep);
+      EXPECT_EQ(std::memcmp(want.data(), pgot.data(), want.size() * sizeof(float)),
+                0)
+          << "prepacked act " << static_cast<int>(act) << " accumulate "
+          << accumulate;
     }
   }
 }

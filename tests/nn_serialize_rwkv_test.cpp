@@ -111,6 +111,38 @@ TEST(SerializeParams, RejectsShapeMismatch) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeParams, RejectsDuplicateRecord) {
+  // A file that stores `m.weight` twice and no `m.bias` has the right
+  // count; loading it must fail instead of leaving m.bias stale.
+  tensor::Tensor a(tensor::Shape{3, 4}, tensor::DType::kF32);
+  a.f32_span()[0] = 1.0f;
+  std::vector<NamedParam> twice{{"m.weight", &a}, {"m.weight", &a}};
+  const std::string path = ::testing::TempDir() + "/params-dup.hvst";
+  ASSERT_TRUE(save_params(twice, path).is_ok());
+
+  tensor::Tensor w(tensor::Shape{3, 4}, tensor::DType::kF32);
+  tensor::Tensor b(tensor::Shape{3, 4}, tensor::DType::kF32);
+  std::vector<NamedParam> loaded{{"m.weight", &w}, {"m.bias", &b}};
+  EXPECT_EQ(load_params(loaded, path).code(),
+            core::StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeParams, RejectsTrailingBytes) {
+  tensor::Tensor a(tensor::Shape{3, 4}, tensor::DType::kF32);
+  std::vector<NamedParam> params{{"m.weight", &a}};
+  const std::string path = ::testing::TempDir() + "/params-trailing.hvst";
+  ASSERT_TRUE(save_params(params, path).is_ok());
+  ASSERT_TRUE(load_params(params, path).is_ok());
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fputc(0, f);
+  std::fclose(f);
+  EXPECT_EQ(load_params(params, path).code(),
+            core::StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(SerializeParams, RejectsWrongArchitecture) {
   // A ViT checkpoint must not load into an RWKV model: the name check
   // fires before any data is copied.

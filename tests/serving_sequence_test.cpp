@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -709,6 +710,34 @@ TEST(ServerSequence, RetiredSequenceIsARequest) {
             3.0);
   ASSERT_NE(server.metrics("agri-lm"), nullptr);
   EXPECT_EQ(server.metrics("agri-lm")->snapshot(1.0).completed, 3u);
+  server.shutdown();
+}
+
+TEST(ServerSequence, RetiredSequenceRecordsItsDecodeTime) {
+  Server server(1);
+  SequenceDeploymentConfig config;
+  config.name = "agri-lm";
+  ASSERT_TRUE(server
+                  .register_sequence_model(
+                      config, [] { return sim_backend(); })
+                  .is_ok());
+  double decode_s = 0.0;
+  for (int i = 0; i < 5; ++i) {
+    SequenceRequest request = make_request(3, 4);
+    request.model = "agri-lm";
+    const SequenceResponse response = server.generate_sync(std::move(request));
+    EXPECT_TRUE(response.status.is_ok());
+    decode_s += std::max(0.0, response.timing.total_s - response.timing.queue_s);
+  }
+  const std::string text = server.prometheus_text();
+  EXPECT_EQ(sample_value(
+                text, "harvest_inference_time_seconds_count{model=\"agri-lm\""),
+            5.0);
+  const double sum = sample_value(
+      text, "harvest_inference_time_seconds_sum{model=\"agri-lm\"");
+  EXPECT_GT(sum, 0.0);
+  // The exposition prints six significant digits.
+  EXPECT_NEAR(sum, decode_s, 1e-5 * decode_s);
   server.shutdown();
 }
 
