@@ -4,6 +4,7 @@
 /// provides a common balance". The engine model scales its calibrated
 /// native-precision peak by the tensor-core rate ratio.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -18,14 +19,27 @@
 
 namespace {
 
+/// int8/fp32 speedup per round, and the median of the rounds.
+struct MeasuredSpeedup {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  int rounds = 0;
+};
+
 /// Measured host reference: the actual int8/fp32 kernel speedup on this
 /// machine, from the same packed kernels the native backend runs
 /// (nn::gemm_bt vs nn::qgemm_bt_dequant on the ViT-Base projection
 /// shape). Anchors the analytic tensor-core ratios below to a number
 /// measured seconds earlier; the full sweep lives in `qgemm_sweep`.
-double measured_int8_speedup() {
+/// A single timing of one shape swings by ±5% from run to run, so the
+/// speedup is the median of kRounds rounds, each timing both kernels
+/// back to back with the order alternating between rounds; the min and
+/// max are kept beside it.
+MeasuredSpeedup measured_int8_speedup() {
   using namespace harvest;
   constexpr std::int64_t m = 197, n = 768, k = 768, reps = 20;
+  constexpr int kRounds = 15;
   std::vector<float> af(static_cast<std::size_t>(m * k), 0.25f);
   std::vector<float> btf(static_cast<std::size_t>(n * k), -0.5f);
   std::vector<float> c(static_cast<std::size_t>(m * n));
@@ -37,20 +51,34 @@ double measured_int8_speedup() {
   ep.scale_m = sm.data();
   ep.scale_n = sn.data();
 
-  nn::gemm_bt(af.data(), btf.data(), c.data(), m, n, k);  // warmup
-  core::WallTimer fp32_timer;
-  for (std::int64_t r = 0; r < reps; ++r) {
+  const auto time_reps = [&](auto&& fn) {
+    core::WallTimer timer;
+    for (std::int64_t r = 0; r < reps; ++r) fn();
+    return timer.elapsed_seconds();
+  };
+  const auto run_fp32 = [&] {
     nn::gemm_bt(af.data(), btf.data(), c.data(), m, n, k);
-  }
-  const double fp32_s = fp32_timer.elapsed_seconds();
-
-  nn::qgemm_bt_dequant(a.data(), bt.data(), c.data(), m, n, k, ep);  // warmup
-  core::WallTimer int8_timer;
-  for (std::int64_t r = 0; r < reps; ++r) {
+  };
+  const auto run_int8 = [&] {
     nn::qgemm_bt_dequant(a.data(), bt.data(), c.data(), m, n, k, ep);
+  };
+  run_fp32();  // warmup
+  run_int8();
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double fp32_s = 0.0;
+    double int8_s = 0.0;
+    if (round % 2 == 0) {
+      fp32_s = time_reps(run_fp32);
+      int8_s = time_reps(run_int8);
+    } else {
+      int8_s = time_reps(run_int8);
+      fp32_s = time_reps(run_fp32);
+    }
+    ratios.push_back(int8_s > 0.0 ? fp32_s / int8_s : 0.0);
   }
-  const double int8_s = int8_timer.elapsed_seconds();
-  return int8_s > 0.0 ? fp32_s / int8_s : 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  return {ratios[ratios.size() / 2], ratios.front(), ratios.back(), kRounds};
 }
 
 }  // namespace
@@ -61,12 +89,19 @@ int main() {
                 "per model and platform (BS64 where it fits)");
 
   api::Report report("ablation_precision");
-  const double host_speedup = measured_int8_speedup();
+  const MeasuredSpeedup measured = measured_int8_speedup();
+  const double host_speedup = measured.median;
   std::printf("measured on this host (int8 %s kernel vs fp32 %s kernel, "
-              "ViT-Base proj 197x768x768): INT8/FP32 = %.2fx — reference "
-              "point for the analytic columns below\n\n",
-              nn::qgemm_isa(), nn::gemm_isa(), host_speedup);
+              "ViT-Base proj 197x768x768): INT8/FP32 = %.2fx (median of %d "
+              "rounds, min %.2fx, max %.2fx) — reference point for the "
+              "analytic columns below\n\n",
+              nn::qgemm_isa(), nn::gemm_isa(), host_speedup, measured.rounds,
+              measured.min, measured.max);
   report.set_meta("host_measured_int8_speedup", core::Json(host_speedup));
+  report.set_meta("host_measured_int8_speedup_min", core::Json(measured.min));
+  report.set_meta("host_measured_int8_speedup_max", core::Json(measured.max));
+  report.set_meta("host_measured_int8_rounds",
+                  core::Json(static_cast<std::int64_t>(measured.rounds)));
   report.set_meta("host_int8_isa", core::Json(std::string(nn::qgemm_isa())));
   report.set_meta("host_fp32_isa", core::Json(std::string(nn::gemm_isa())));
   const std::vector<platform::Precision> precisions = {

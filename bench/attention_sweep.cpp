@@ -12,8 +12,11 @@
 ///
 /// Per-shape scratch footprints are reported alongside (fused is
 /// O(T·head_dim) per thread; naive needs a heads·T² score buffer per
-/// image). Results land in bench_reports/BENCH_attention.json for the
-/// perf trajectory tooling (see docs/PERFORMANCE.md).
+/// image). A second table times every shape at batch 1 (the online
+/// serving batch) at one thread and at omp_get_max_threads(), where
+/// the parallel grid has only batch×heads tasks. Results land in
+/// bench_reports/BENCH_attention.json for the perf trajectory tooling
+/// (see docs/PERFORMANCE.md).
 ///
 /// `--smoke` runs a seconds-long correctness-only subset (odd tokens,
 /// odd head_dim, tile-boundary straddles, decode) and is wired into
@@ -37,6 +40,8 @@
 #include "nn/attention.hpp"
 
 namespace {
+
+using harvest::bench::set_threads;
 
 struct AttnShape {
   const char* name;  ///< which real model geometry this comes from
@@ -289,6 +294,50 @@ int main(int argc, char** argv) {
     report.add_row(std::move(row));
   }
   std::fputs(table.render().c_str(), stdout);
+
+  // ---- batch 1 at one thread and at the full team (report-only) ------
+  const std::string tmax = std::to_string(threads) + "t";
+  core::TextTable batch1_table("Attention at batch 1 (ms/image)");
+  batch1_table.set_header({"shape", "naive 1t", "fused 1t", "naive " + tmax,
+                           "fused " + tmax, "fused 1t/" + tmax});
+  core::Json batch1_rows = core::Json::array();
+  for (const AttnShape& s : sweep_shapes()) {
+    std::vector<float> qkv(static_cast<std::size_t>(s.tokens * 3 * s.dim));
+    std::vector<float> out(static_cast<std::size_t>(s.tokens * s.dim));
+    fill_pattern(qkv, 3);
+    const auto run_naive = [&] {
+      nn::self_attention_batched(qkv.data(), out.data(), 1, s.tokens, s.dim,
+                                 s.heads);
+    };
+    const auto run_fused = [&] {
+      nn::self_attention_fused_batched(qkv.data(), out.data(), 1, s.tokens,
+                                       s.dim, s.heads);
+    };
+    set_threads(1);
+    const double naive_t1 = time_ms(min_seconds, run_naive);
+    const double fused_t1 = time_ms(min_seconds, run_fused);
+    set_threads(threads);
+    const double naive_tn = time_ms(min_seconds, run_naive);
+    const double fused_tn = time_ms(min_seconds, run_fused);
+    batch1_table.add_row({s.name, core::format_fixed(naive_t1, 3),
+                          core::format_fixed(fused_t1, 3),
+                          core::format_fixed(naive_tn, 3),
+                          core::format_fixed(fused_tn, 3),
+                          core::format_fixed(fused_t1 / fused_tn, 2) + "x"});
+    core::Json row = core::Json::object();
+    row["shape"] = core::Json(std::string(s.name));
+    row["tokens"] = core::Json(s.tokens);
+    row["dim"] = core::Json(s.dim);
+    row["heads"] = core::Json(s.heads);
+    row["naive_ms_t1"] = core::Json(naive_t1);
+    row["fused_ms_t1"] = core::Json(fused_t1);
+    row["naive_ms_tmax"] = core::Json(naive_tn);
+    row["fused_ms_tmax"] = core::Json(fused_tn);
+    batch1_rows.push_back(std::move(row));
+  }
+  std::printf("\n");
+  std::fputs(batch1_table.render().c_str(), stdout);
+  report.set_meta("batch1", std::move(batch1_rows));
 
   // ---- decode kernel throughput (report-only) -----------------------
   {

@@ -20,9 +20,15 @@
 /// number. Results land in bench_reports/BENCH_gemm.json for the perf
 /// trajectory tooling (see docs/PERFORMANCE.md).
 ///
+/// A second table times ViT_Tiny's fc1 (prepacked weights, bias) with
+/// and without its fused GELU epilogue, at batch 1 (257 rows) and 16
+/// (4112 rows), at one thread and at omp_get_max_threads(); the
+/// difference is what the GELU costs the block.
+///
 /// `--smoke` runs a seconds-long correctness-focused subset (exit 1 on
-/// any packed-vs-naive mismatch) and is wired into ctest under the
-/// `perf` label.
+/// any packed-vs-naive mismatch, or on a fused GELU further than 2e-6
+/// relative from the double-precision formula on any kernel entry) and
+/// is wired into ctest under the `perf` label.
 
 #include <algorithm>
 #include <cmath>
@@ -48,6 +54,8 @@
 
 namespace {
 
+using harvest::bench::gelu_ref;
+using harvest::bench::set_threads;
 using harvest::nn::GemmEpilogue;
 
 // ------------------------------------------------------------------
@@ -163,13 +171,26 @@ double max_abs_diff(const std::vector<float>& a, const std::vector<float>& b) {
   return worst;
 }
 
-/// OpenMP team width for the next parallel regions (no-op without OpenMP).
-void set_threads(int threads) {
-#ifdef _OPENMP
-  omp_set_num_threads(threads);
-#else
-  (void)threads;
-#endif
+/// Worst relative error of the fused GELU over every kernel entry, each
+/// gate point the column bias of a 1×n GEMM with A = 0 (so the epilogue
+/// sees exactly the point).
+double gelu_worst_rel_error() {
+  using namespace harvest;
+  const std::vector<float> x = bench::gelu_gate_points();
+  const auto n = static_cast<std::int64_t>(x.size());
+  const std::vector<float> a(1, 0.0f);
+  const std::vector<float> b(x.size(), 0.0f);
+  std::vector<float> got(x.size());
+  GemmEpilogue ep;
+  ep.bias_n = x.data();
+  ep.act = nn::EpilogueAct::kGelu;
+  double worst = 0.0;
+  for (const nn::GemmKernel& kernel : nn::gemm_kernels()) {
+    nn::gemm_with_kernel(kernel, a.data(), 1, b.data(), n, false, got.data(),
+                         n, 1, n, 1, false, ep);
+    worst = std::max(worst, bench::gelu_rel_error(x, got));
+  }
+  return worst;
 }
 
 /// Time `fn` adaptively: enough repetitions to cross `min_seconds`.
@@ -248,6 +269,17 @@ double check_shape(const SweepShape& s) {
   nn::gemm_ex(a.data(), b.data(), got.data(), m, n, k, false, ep);
   worst = std::max(worst, max_abs_diff(ep_want, got));
 
+  // Fused bias + GELU epilogue vs the double-precision formula.
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      ep_want[i * n + j] =
+          static_cast<float>(gelu_ref(want[i * n + j] + bias[j]));
+    }
+  }
+  ep.act = nn::EpilogueAct::kGelu;
+  nn::gemm_ex(a.data(), b.data(), got.data(), m, n, k, false, ep);
+  worst = std::max(worst, max_abs_diff(ep_want, got));
+
   // Strided views: operands embedded in wider row pitches.
   const std::int64_t lda = k + 5, ldb = n + 3, ldc = n + 9;
   std::vector<float> wa(static_cast<std::size_t>(m * lda));
@@ -317,6 +349,17 @@ int main(int argc, char** argv) {
   report.set_meta("correctness_max_abs_diff_per_k", core::Json(worst));
   if (worst > tolerance) {
     std::fprintf(stderr, "FAIL: packed GEMM diverges from naive reference\n");
+    return 1;
+  }
+  const double gelu_tolerance = 2e-6;
+  const double gelu_worst = gelu_worst_rel_error();
+  std::printf("fused GELU: worst |gelu - double ref| / max(1, |ref|) = %.3g "
+              "over %zu kernels, tol %.0e — %s\n\n",
+              gelu_worst, nn::gemm_kernels().size(), gelu_tolerance,
+              gelu_worst <= gelu_tolerance ? "OK" : "FAIL");
+  report.set_meta("gelu_max_rel_error", core::Json(gelu_worst));
+  if (!(gelu_worst <= gelu_tolerance)) {
+    std::fprintf(stderr, "FAIL: fused GELU diverges from double reference\n");
     return 1;
   }
   if (smoke) {
@@ -395,6 +438,56 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   report.set_meta("best_packed_gflops", core::Json(best_gflops));
   report.set_meta("best_packed_gflops_t1", core::Json(best_gflops_t1));
+
+  // ---- fc1 with and without its fused GELU ---------------------------
+  const std::string tmax = std::to_string(threads) + "t";
+  core::TextTable fc1_table("ViT_Tiny fc1, prepacked + bias (ms per call)");
+  fc1_table.set_header({"batch", "M", "epilogue", "1t", tmax,
+                        "GFLOP/s " + tmax});
+  core::Json fc1_rows = core::Json::array();
+  for (const std::int64_t batch : {1, 16}) {
+    const std::int64_t m = 257 * batch, n = 768, k = 192;
+    std::vector<float> a(static_cast<std::size_t>(m * k));
+    std::vector<float> w_t(static_cast<std::size_t>(n * k));
+    std::vector<float> bias(static_cast<std::size_t>(n));
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    fill_pattern(a, 1);
+    fill_pattern(w_t, 2);
+    fill_pattern(bias, 3);
+    const nn::GemmPackedB packed(w_t.data(), k, /*b_transposed=*/true, n, k);
+    const double flops = 2.0 * static_cast<double>(m) *
+                         static_cast<double>(n) * static_cast<double>(k);
+    for (const nn::EpilogueAct act :
+         {nn::EpilogueAct::kNone, nn::EpilogueAct::kGelu}) {
+      GemmEpilogue ep;
+      ep.bias_n = bias.data();
+      ep.act = act;
+      const auto run = [&] {
+        nn::gemm_prepacked_ex(a.data(), k, packed, c.data(), n, m, false, ep);
+      };
+      set_threads(1);
+      const double t1 = time_gflops(flops, min_seconds, run);
+      set_threads(threads);
+      const double tn = time_gflops(flops, min_seconds, run);
+      const char* name = act == nn::EpilogueAct::kGelu ? "bias+gelu" : "bias";
+      fc1_table.add_row({std::to_string(batch), std::to_string(m), name,
+                         core::format_fixed(flops / t1 / 1e6, 3),
+                         core::format_fixed(flops / tn / 1e6, 3),
+                         core::format_fixed(tn, 2)});
+      core::Json row = core::Json::object();
+      row["batch"] = core::Json(batch);
+      row["m"] = core::Json(m);
+      row["n"] = core::Json(n);
+      row["k"] = core::Json(k);
+      row["epilogue"] = core::Json(std::string(name));
+      row["ms_t1"] = core::Json(flops / t1 / 1e6);
+      row["ms_tmax"] = core::Json(flops / tn / 1e6);
+      fc1_rows.push_back(std::move(row));
+    }
+  }
+  std::printf("\n");
+  std::fputs(fc1_table.render().c_str(), stdout);
+  report.set_meta("fc1_gelu", std::move(fc1_rows));
 
   // ---- per-layer MFU against the rate just measured ------------------
   std::printf("\nPer-layer MFU of a real ViT graph, peak = best sweep rate "

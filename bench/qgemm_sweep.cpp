@@ -26,6 +26,12 @@
 /// geometric-mean int8 speedup over the Linear/attention shapes to
 /// clear 2x at one thread.
 ///
+/// The fused GELU epilogue is gated too: on every kernel entry it must
+/// read within 2e-6 (relative) of the double-precision formula. A
+/// third table times ViT_Tiny's fc1 (prepacked, scales and bias) with
+/// and without that GELU, at batch 1 (257 rows) and 16 (4112 rows), at
+/// one thread and at the full team.
+///
 /// Results land in bench_reports/BENCH_qgemm.json. `--smoke` runs the
 /// correctness + agreement gates plus one timed shape in seconds, and
 /// is wired into ctest under the `perf` label.
@@ -57,6 +63,8 @@
 
 namespace {
 
+using harvest::bench::gelu_ref;
+using harvest::bench::set_threads;
 using harvest::nn::QGemmEpilogue;
 
 struct SweepShape {
@@ -172,15 +180,28 @@ bool check_shape(const SweepShape& s) {
   std::vector<float> pgot(want.size());
   nn::qgemm_prepacked_dequant(a.data(), packed, pgot.data(), m, ep);
 
+  // The same with the fused GELU, against the double-precision formula.
+  ep.act = QGemmEpilogue::Act::kGelu;
+  std::vector<float> ggot(want.size());
+  nn::qgemm_prepacked_dequant(a.data(), packed, ggot.data(), m, ep);
+
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      const float ref = std::max(
-          0.0f, static_cast<float>(want[i * n + j]) * scale_m[i] * scale_n[j] +
-                    bias_n[j]);
+      const float v =
+          static_cast<float>(want[i * n + j]) * scale_m[i] * scale_n[j] +
+          bias_n[j];
+      const float ref = std::max(0.0f, v);
       const float tol = 1e-5f * (std::fabs(ref) + 1.0f);
       if (std::fabs(fgot[i * n + j] - ref) > tol ||
           std::fabs(pgot[i * n + j] - ref) > tol) {
         std::fprintf(stderr, "FAIL: dequant epilogue mismatch on %s\n",
+                     s.layer);
+        return false;
+      }
+      const double gref = gelu_ref(v);
+      if (std::fabs(static_cast<double>(ggot[i * n + j]) - gref) >
+          1e-5 * (std::fabs(gref) + 1.0)) {
+        std::fprintf(stderr, "FAIL: dequant GELU epilogue mismatch on %s\n",
                      s.layer);
         return false;
       }
@@ -189,13 +210,27 @@ bool check_shape(const SweepShape& s) {
   return true;
 }
 
-/// OpenMP team width for the next parallel regions (no-op without OpenMP).
-void set_threads(int threads) {
-#ifdef _OPENMP
-  omp_set_num_threads(threads);
-#else
-  (void)threads;
-#endif
+/// Worst relative error of the fused GELU over every kernel entry, each
+/// gate point the column bias of a 1×n product with A = 0 (so the
+/// retire sees exactly the point).
+double gelu_worst_rel_error() {
+  using namespace harvest;
+  constexpr std::int64_t kK = 4;
+  const std::vector<float> x = bench::gelu_gate_points();
+  const auto n = static_cast<std::int64_t>(x.size());
+  const std::vector<std::int8_t> a(kK, 0);
+  const std::vector<std::int8_t> bt(x.size() * kK, 0);
+  std::vector<float> got(x.size());
+  QGemmEpilogue ep;
+  ep.bias_n = x.data();
+  ep.act = QGemmEpilogue::Act::kGelu;
+  double worst = 0.0;
+  for (const nn::QGemmKernel& kernel : nn::qgemm_kernels()) {
+    const nn::QGemmPackedB packed(kernel, bt.data(), n, kK);
+    nn::qgemm_prepacked_dequant(a.data(), packed, got.data(), 1, ep);
+    worst = std::max(worst, bench::gelu_rel_error(x, got));
+  }
+  return worst;
 }
 
 /// Time `fn` adaptively: enough repetitions to cross `min_seconds`.
@@ -308,6 +343,17 @@ int main(int argc, char** argv) {
               exact ? "exact" : "MISMATCH");
   report.set_meta("int32_exact", core::Json(exact));
   if (!exact) return 1;
+  const double gelu_tolerance = 2e-6;
+  const double gelu_worst = gelu_worst_rel_error();
+  std::printf("fused GELU: worst |gelu - double ref| / max(1, |ref|) = %.3g "
+              "over %zu kernels, tol %.0e — %s\n",
+              gelu_worst, nn::qgemm_kernels().size(), gelu_tolerance,
+              gelu_worst <= gelu_tolerance ? "OK" : "FAIL");
+  report.set_meta("gelu_max_rel_error", core::Json(gelu_worst));
+  if (!(gelu_worst <= gelu_tolerance)) {
+    std::fprintf(stderr, "FAIL: fused GELU diverges from double reference\n");
+    return 1;
+  }
 
   // ---- gate 2: end-to-end top-1 agreement ---------------------------
   const AgreementResult agreement = e2e_agreement();
@@ -507,6 +553,59 @@ int main(int argc, char** argv) {
   std::printf("\n");
   std::fputs(kernel_table.render().c_str(), stdout);
   report.set_meta("kernels", std::move(kernels));
+
+  // ---- fc1 with and without its fused GELU ---------------------------
+  core::TextTable fc1_table(
+      "ViT_Tiny fc1 int8, prepacked + scales + bias (ms per call)");
+  fc1_table.set_header({"batch", "M", "epilogue", "1t", tmax});
+  core::Json fc1_rows = core::Json::array();
+  for (const std::int64_t batch : {1, 16}) {
+    const std::int64_t m = 257 * batch, n = 768, k = 192;
+    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int8_t> bt(static_cast<std::size_t>(n * k));
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    fill_i8(a, 1);
+    fill_i8(bt, 2);
+    std::vector<float> sm(static_cast<std::size_t>(m), 0.01f);
+    std::vector<float> sn(static_cast<std::size_t>(n), 0.02f);
+    std::vector<float> bias(static_cast<std::size_t>(n));
+    fill_f32(bias, 3);
+    const nn::QGemmPackedB packed(bt.data(), n, k);
+    const double macs = static_cast<double>(m) * static_cast<double>(n) *
+                        static_cast<double>(k);
+    for (const QGemmEpilogue::Act act :
+         {QGemmEpilogue::Act::kNone, QGemmEpilogue::Act::kGelu}) {
+      QGemmEpilogue ep;
+      ep.scale_m = sm.data();
+      ep.scale_n = sn.data();
+      ep.bias_n = bias.data();
+      ep.act = act;
+      const auto run = [&] {
+        nn::qgemm_prepacked_dequant(a.data(), packed, c.data(), m, ep);
+      };
+      set_threads(1);
+      const double t1 = time_gmacs(macs, min_seconds, run);
+      set_threads(threads);
+      const double tn = time_gmacs(macs, min_seconds, run);
+      const char* name =
+          act == QGemmEpilogue::Act::kGelu ? "bias+gelu" : "bias";
+      fc1_table.add_row({std::to_string(batch), std::to_string(m), name,
+                         core::format_fixed(macs / t1 / 1e6, 3),
+                         core::format_fixed(macs / tn / 1e6, 3)});
+      core::Json row = core::Json::object();
+      row["batch"] = core::Json(batch);
+      row["m"] = core::Json(m);
+      row["n"] = core::Json(n);
+      row["k"] = core::Json(k);
+      row["epilogue"] = core::Json(std::string(name));
+      row["ms_t1"] = core::Json(macs / t1 / 1e6);
+      row["ms_tmax"] = core::Json(macs / tn / 1e6);
+      fc1_rows.push_back(std::move(row));
+    }
+  }
+  std::printf("\n");
+  std::fputs(fc1_table.render().c_str(), stdout);
+  report.set_meta("fc1_gelu", std::move(fc1_rows));
 
   const double geomean = geomean_of(log_speedup_sum);
   const double geomean_tmax = geomean_of(log_speedup_sum_tmax);

@@ -9,13 +9,6 @@ void relu_inplace(float* x, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) x[i] = std::max(0.0f, x[i]);
 }
 
-void gelu_inplace(float* x, std::int64_t n) {
-  constexpr float kInvSqrt2 = 0.70710678118654752440f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    x[i] = x[i] * 0.5f * (1.0f + std::erf(x[i] * kInvSqrt2));
-  }
-}
-
 void softmax_rows(float* x, std::int64_t rows, std::int64_t row_len) {
   for (std::int64_t r = 0; r < rows; ++r) {
     float* row = x + r * row_len;

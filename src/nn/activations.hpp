@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file activations.hpp
-/// Pointwise activations and row-wise softmax used by the model graphs.
+/// Pointwise activations and row-wise softmax (GELU is a GEMM epilogue).
 
 #include <cstdint>
 #include <span>
@@ -10,9 +10,6 @@ namespace harvest::nn {
 
 /// In-place ReLU.
 void relu_inplace(float* x, std::int64_t n);
-
-/// In-place exact GELU: x * 0.5 * (1 + erf(x/sqrt(2))).
-void gelu_inplace(float* x, std::int64_t n);
 
 /// Numerically stable softmax over each contiguous row of length
 /// `row_len`; `rows * row_len` elements total.

@@ -1,7 +1,6 @@
 #include "nn/gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -9,6 +8,7 @@
 #include <omp.h>
 #endif
 
+#include "nn/gelu.hpp"
 #include "nn/isa_dispatch.hpp"
 
 namespace harvest::nn {
@@ -39,11 +39,6 @@ constexpr std::int64_t kSmallK = 32;
 // Largest register tile of any kernel below; sizes stack scratch.
 constexpr std::int64_t kMaxMr = 8;
 constexpr std::int64_t kMaxNr = 32;
-
-inline float gelu_scalar(float x) {
-  constexpr float kInvSqrt2 = 0.70710678118654752440f;
-  return x * 0.5f * (1.0f + std::erf(x * kInvSqrt2));
-}
 
 inline std::int64_t round_up(std::int64_t x, std::int64_t step) {
   return (x + step - 1) / step * step;
@@ -121,13 +116,13 @@ void pack_b_panels(std::int64_t nr, const float* b, std::int64_t ldb,
 /// Tile-row store shared by every kernel: C = acc (+ C), then the
 /// epilogue terms in a fixed order. Each optional term is a separate
 /// unswitched pass over the L1-hot row (each one vectorizes) instead of
-/// a branchy per-element apply.
-template <int kNr>
+/// a branchy per-element apply; GELU runs on T's vector width.
+template <class T>
 HARVEST_FORCE_INLINE void store_row(float* crow, const float* accr,
                                     std::int64_t nr, bool accumulate,
                                     const GemmEpilogue* ep, std::int64_t i,
                                     std::int64_t j0) {
-  float v[kNr];
+  float v[T::kNr];
   if (accumulate) {
     for (std::int64_t j = 0; j < nr; ++j) v[j] = accr[j] + crow[j];
   } else {
@@ -151,9 +146,7 @@ HARVEST_FORCE_INLINE void store_row(float* crow, const float* accr,
       case EpilogueAct::kRelu:
         for (std::int64_t j = 0; j < nr; ++j) v[j] = std::max(0.0f, v[j]);
         break;
-      case EpilogueAct::kGelu:
-        for (std::int64_t j = 0; j < nr; ++j) v[j] = gelu_scalar(v[j]);
-        break;
+      case EpilogueAct::kGelu: detail::gelu_row<T::kW>(v, nr); break;
     }
   }
   for (std::int64_t j = 0; j < nr; ++j) crow[j] = v[j];
@@ -226,8 +219,8 @@ HARVEST_FORCE_INLINE void micro_body(const float* ap, const float* bp,
     }
   }
   for (std::int64_t i = 0; i < mr; ++i) {
-    store_row<T::kNr>(c + i * ldc, tile + i * T::kNr, nr, !zero_start, ep,
-                      i_base + i, j_base);
+    store_row<T>(c + i * ldc, tile + i * T::kNr, nr, !zero_start, ep,
+                 i_base + i, j_base);
   }
 }
 

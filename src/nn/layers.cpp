@@ -132,15 +132,6 @@ void gather_image_patches(const float* img, float* dst, std::int64_t in_ch,
   }
 }
 
-QGemmEpilogue::Act qgemm_act(EpilogueAct act) {
-  switch (act) {
-    case EpilogueAct::kRelu: return QGemmEpilogue::Act::kRelu;
-    case EpilogueAct::kGelu: return QGemmEpilogue::Act::kGelu;
-    case EpilogueAct::kNone: break;
-  }
-  return QGemmEpilogue::Act::kNone;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- Dense
@@ -165,7 +156,7 @@ void Dense::run(const float* a, float* c, std::int64_t rows, bool accumulate,
     ep.scale_m = scales.f32();
     ep.scale_n = row_scales_.data();
     ep.bias_n = has_bias_ ? bias_.f32() : nullptr;
-    ep.act = qgemm_act(epilogue.act);
+    ep.act = epilogue.act;
     ep.accumulate = accumulate;
     qgemm_prepacked_dequant(qa.as<std::int8_t>(), qpacked_, c, rows, ep);
     if (epilogue.add_c != nullptr) {
@@ -258,23 +249,6 @@ void Linear::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
 
 void Linear::collect_params(std::vector<NamedParam>& out) {
   dense_.collect_params(name_, out);
-}
-
-// ------------------------------------------------------------------ Gelu
-
-Gelu::Gelu(std::string name, std::int64_t elems_per_image)
-    : name_(std::move(name)), elems_per_image_(elems_per_image) {}
-
-Tensor Gelu::forward(const Tensor& input) {
-  Tensor output = Tensor::scratch(input.shape(), DType::kF32);
-  std::memcpy(output.f32(), input.f32(),
-              static_cast<std::size_t>(input.numel()) * sizeof(float));
-  gelu_inplace(output.f32(), output.numel());
-  return output;
-}
-
-void Gelu::append_costs(std::int64_t batch, std::vector<OpCost>& out) const {
-  out.push_back(cost::elementwise(name_, batch * elems_per_image_));
 }
 
 // -------------------------------------------------------------- LayerNorm

@@ -93,20 +93,6 @@ class Linear final : public Layer {
   Dense dense_;
 };
 
-/// Elementwise GELU over any shape.
-class Gelu final : public Layer {
- public:
-  Gelu(std::string name, std::int64_t elems_per_image);
-  const std::string& name() const override { return name_; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  void append_costs(std::int64_t batch, std::vector<OpCost>& out) const override;
-  void collect_params(std::vector<NamedParam>&) override {}
-
- private:
-  std::string name_;
-  std::int64_t elems_per_image_;
-};
-
 /// LayerNorm over the trailing `dim` elements of each row.
 class LayerNorm final : public Layer {
  public:

@@ -1,10 +1,10 @@
 #include "nn/qgemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "nn/gelu.hpp"
 #include "nn/isa_dispatch.hpp"
 
 #if HARVEST_ISA_DISPATCH
@@ -31,11 +31,6 @@ inline std::int64_t round_up(std::int64_t x, std::int64_t step) {
 }
 
 inline std::int64_t quads_of(std::int64_t kc) { return (kc + 3) / 4; }
-
-inline float gelu_scalar(float x) {
-  constexpr float kInvSqrt2 = 0.70710678118654752440f;
-  return x * 0.5f * (1.0f + std::erf(x * kInvSqrt2));
-}
 
 // ------------------------------------------------------------- packing
 
@@ -230,27 +225,28 @@ HARVEST_FORCE_INLINE void qmicro_body(const std::uint8_t* ap,
 // One wrapper per tile. They are `flatten` because each dot4 carries a
 // target attribute of its own (its intrinsics need one), and a target
 // function inlines only into a caller of that target: the wrapper, not
-// the generic body.
+// the generic body. Each tile's GELU step runs the width and FMA use of
+// the fp32 kernel on the same ISA, so both epilogues round GELU alike.
 #define HARVEST_INT8_MICRO(name, target, Tile)                        \
-  target __attribute__((flatten)) void name(                          \
+  target __attribute__((flatten)) void micro_##name(                  \
       const std::uint8_t* ap, const std::int8_t* bp, std::int64_t kq, \
       const std::int32_t* init, std::int32_t* c, std::int64_t ldc) {  \
     qmicro_body<Tile>(ap, bp, kq, init, c, ldc);                      \
+  }                                                                   \
+  target void gelu_##name(float* row, std::int64_t n) {              \
+    detail::gelu_row<Tile::kW>(row, n);                               \
   }
 
-HARVEST_INT8_MICRO(micro_portable, , TilePortable)
+HARVEST_INT8_MICRO(portable, , TilePortable)
 #if HARVEST_ISA_DISPATCH
-HARVEST_INT8_MICRO(micro_avx2, HARVEST_TARGET_AVX2, TileAvx2)
-HARVEST_INT8_MICRO(micro_avxvnni, HARVEST_TARGET_AVXVNNI, TileAvxVnni)
-HARVEST_INT8_MICRO(micro_avx512vnni, HARVEST_TARGET_AVX512VNNI,
-                   TileAvx512Vnni)
+HARVEST_INT8_MICRO(avx2, HARVEST_TARGET_AVX2, TileAvx2)
+HARVEST_INT8_MICRO(avxvnni, HARVEST_TARGET_AVXVNNI, TileAvxVnni)
+HARVEST_INT8_MICRO(avx512vnni, HARVEST_TARGET_AVX512VNNI, TileAvx512Vnni)
 #endif
 #undef HARVEST_INT8_MICRO
 
-template <class T>
-constexpr QGemmKernel kernel_entry(QGemmKernel::Fn fn, const char* name) {
-  return QGemmKernel{fn, name, T::kMr, T::kNr};
-}
+#define HARVEST_INT8_ENTRY(name, Tile) \
+  QGemmKernel { micro_##name, gelu_##name, #name, Tile::kMr, Tile::kNr }
 
 /// The host's kernels, best first; the first is the dispatched one.
 const std::vector<QGemmKernel>& kernel_table() {
@@ -258,21 +254,21 @@ const std::vector<QGemmKernel>& kernel_table() {
     std::vector<QGemmKernel> host;
 #if HARVEST_ISA_DISPATCH
     if (isa::has_avx512vnni()) {
-      host.push_back(
-          kernel_entry<TileAvx512Vnni>(micro_avx512vnni, "avx512vnni"));
+      host.push_back(HARVEST_INT8_ENTRY(avx512vnni, TileAvx512Vnni));
     }
     if (isa::has_avxvnni()) {
-      host.push_back(kernel_entry<TileAvxVnni>(micro_avxvnni, "avxvnni"));
+      host.push_back(HARVEST_INT8_ENTRY(avxvnni, TileAvxVnni));
     }
     if (isa::has_avx2_fma()) {
-      host.push_back(kernel_entry<TileAvx2>(micro_avx2, "avx2"));
+      host.push_back(HARVEST_INT8_ENTRY(avx2, TileAvx2));
     }
 #endif
-    host.push_back(kernel_entry<TilePortable>(micro_portable, "portable"));
+    host.push_back(HARVEST_INT8_ENTRY(portable, TilePortable));
     return host;
   }();
   return kernels;
 }
+#undef HARVEST_INT8_ENTRY
 
 const QGemmKernel& dispatched() { return kernel_table().front(); }
 
@@ -284,11 +280,11 @@ const QGemmKernel& dispatched() { return kernel_table().front(); }
 /// then the activation, then c = v or c += v — one unswitched pass over
 /// the row per step, in that order, so each pass vectorizes and every
 /// element rounds as the scalar sequence does. This file targets the
-/// baseline ISA, which has no FMA to contract into. GELU is scalar erf.
-void retire_tile_dequant(const std::int32_t* scratch, std::int64_t lds,
-                         float* c, std::int64_t ldc, std::int64_t i0,
-                         std::int64_t j0, std::int64_t mc, std::int64_t nc,
-                         const QGemmEpilogue& ep) {
+/// baseline ISA, which has no FMA to contract into; GELU runs kern.gelu.
+void retire_tile_dequant(const QGemmKernel& kern, const std::int32_t* scratch,
+                         std::int64_t lds, float* c, std::int64_t ldc,
+                         std::int64_t i0, std::int64_t j0, std::int64_t mc,
+                         std::int64_t nc, const QGemmEpilogue& ep) {
   float v[kNc];
   for (std::int64_t i = 0; i < mc; ++i) {
     const std::int32_t* srow = scratch + i * lds;
@@ -315,9 +311,7 @@ void retire_tile_dequant(const std::int32_t* scratch, std::int64_t lds,
       case QGemmEpilogue::Act::kRelu:
         for (std::int64_t j = 0; j < nc; ++j) v[j] = std::max(0.0f, v[j]);
         break;
-      case QGemmEpilogue::Act::kGelu:
-        for (std::int64_t j = 0; j < nc; ++j) v[j] = gelu_scalar(v[j]);
-        break;
+      case QGemmEpilogue::Act::kGelu: kern.gelu(v, nc); break;
     }
     if (ep.accumulate) {
       for (std::int64_t j = 0; j < nc; ++j) crow[j] += v[j];
@@ -467,8 +461,8 @@ void qgemm_bt_dequant(const std::int8_t* a, const std::int8_t* b_t, float* c,
   qgemm_packing_b(dispatched(), a, b_t, m, n, k,
                   [&](const std::int32_t* tile, std::int64_t i0,
                       std::int64_t j0, std::int64_t mc, std::int64_t nc) {
-                    retire_tile_dequant(tile, kNc, c, n, i0, j0, mc, nc,
-                                        epilogue);
+                    retire_tile_dequant(dispatched(), tile, kNc, c, n, i0, j0,
+                                        mc, nc, epilogue);
                   });
 }
 
@@ -497,7 +491,8 @@ void qgemm_prepacked_dequant(const std::int8_t* a, const QGemmPackedB& b,
   qgemm_driver(b.kernel(), a, b.data(), b.compensation(), m, n, k,
                [&](const std::int32_t* tile, std::int64_t i0, std::int64_t j0,
                    std::int64_t mc, std::int64_t nc) {
-                 retire_tile_dequant(tile, kNc, c, n, i0, j0, mc, nc, epilogue);
+                 retire_tile_dequant(b.kernel(), tile, kNc, c, n, i0, j0, mc,
+                                     nc, epilogue);
                });
 }
 

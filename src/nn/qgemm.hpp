@@ -14,7 +14,7 @@
 /// keeps it signed and records each column's compensation
 /// −128·Σₖ b[j][k], from which the first K block starts its
 /// accumulators. So every tile retires the exact int32 of A·Bᵀ.
-/// Kernels sit in a `{fn, name, mr, nr}` table (`qgemm_kernels()`) like
+/// Kernels sit in a `{fn, gelu, name, mr, nr}` table (`qgemm_kernels()`) like
 /// the fp32 ones, picked once per process by host ISA (AVX-512-VNNI →
 /// AVX-VNNI → AVX2 → portable); every entry is int32-exact, so tests
 /// gate on equality with the naive reference on any machine. B ([N, K]
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <span>
 
+#include "nn/gemm.hpp"
 #include "tensor/buffer.hpp"
 
 namespace harvest::nn {
@@ -34,7 +35,7 @@ namespace harvest::nn {
 ///   c[i][j] (+)= acc[i][j] · scale_m[i] · scale_n[j] + bias
 /// while it is still cache-hot. Null scale pointers mean "scale 1".
 struct QGemmEpilogue {
-  enum class Act { kNone, kRelu, kGelu };
+  using Act = EpilogueAct;  ///< the fp32 epilogue's activation
   const float* scale_m = nullptr;  ///< per-row scale (e.g. activation rows)
   const float* scale_n = nullptr;  ///< per-column scale (e.g. weight rows)
   const float* bias_m = nullptr;   ///< per-row bias (conv: per out-channel)
@@ -55,6 +56,7 @@ struct QGemmKernel {
                       std::int64_t kq, const std::int32_t* init,
                       std::int32_t* c, std::int64_t ldc);
   Fn fn = nullptr;
+  void (*gelu)(float* row, std::int64_t n) = nullptr;  ///< GELU on fn's ISA
   const char* name = "";  ///< "avx512vnni" | "avxvnni" | "avx2" | "portable"
   std::int64_t mr = 0;
   std::int64_t nr = 0;

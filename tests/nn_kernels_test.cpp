@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -19,6 +20,7 @@
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
 #include "nn/norm.hpp"
+#include "nn/qgemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace harvest::nn {
@@ -33,6 +35,11 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   for (float& x : v) x = rng.next_float() * 2.0f - 1.0f;
   return v;
+}
+
+/// Exact GELU in double: x · ½ · (1 + erf(x/√2)).
+double gelu_ref(double x) {
+  return 0.5 * x * (1.0 + std::erf(x / std::sqrt(2.0)));
 }
 
 // ------------------------------------------------------------------- GEMM
@@ -165,9 +172,9 @@ TEST(GemmEx, FusedReluMatchesSeparateActivation) {
   for (int i = 0; i < kM * kN; ++i) EXPECT_NEAR(got[i], want[i], 1e-5f) << i;
 }
 
-TEST(GemmEx, FusedGeluMatchesGeluInplace) {
-  // Must be bit-compatible with the standalone activation the layers
-  // previously called, so fusing fc1 doesn't drift model outputs.
+TEST(GemmEx, FusedGeluMatchesDoubleReference) {
+  // The fused fc1 epilogue against the GEMM, the bias and then GELU in
+  // double.
   constexpr int kM = 33, kN = 20, kK = 129;
   const auto a = random_vec(kM * kK, 41);
   const auto b_t = random_vec(kN * kK, 42);
@@ -179,7 +186,7 @@ TEST(GemmEx, FusedGeluMatchesGeluInplace) {
   std::vector<float> want(kM * kN, 0.0f);
   gemm_naive(a.data(), b.data(), want.data(), kM, kN, kK);
   add_row_bias(want.data(), bias.data(), kM, kN);
-  gelu_inplace(want.data(), kM * kN);
+  for (float& w : want) w = static_cast<float>(gelu_ref(w));
 
   GemmEpilogue ep;
   ep.bias_n = bias.data();
@@ -487,6 +494,160 @@ TEST(GemmInvariance, RowOfOneRowCallEqualsRowOfBatchedCall) {
   }
 }
 
+// ------------------------------------------------------------------- GELU
+//
+// Both GEMM epilogues run the one vector GELU of nn/gelu.hpp on their
+// kernel entry's ISA. These helpers drive it through a kernel entry
+// with A = 0, so the epilogue sees exactly the column bias: 0 + x = x.
+
+/// GELU of each x, as one row of the fp32 epilogue of `kernel`.
+std::vector<float> fp32_epilogue_gelu(const GemmKernel& kernel,
+                                      const std::vector<float>& x) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  const std::vector<float> a(1, 0.0f);
+  const std::vector<float> b(x.size(), 0.0f);
+  std::vector<float> c(x.size());
+  GemmEpilogue ep;
+  ep.bias_n = x.data();
+  ep.act = EpilogueAct::kGelu;
+  gemm_with_kernel(kernel, a.data(), 1, b.data(), n, false, c.data(), n, 1, n,
+                   1, false, ep);
+  return c;
+}
+
+/// GELU of each x, as one row of the int8 dequant epilogue of `kernel`.
+std::vector<float> int8_epilogue_gelu(const QGemmKernel& kernel,
+                                      const std::vector<float>& x) {
+  constexpr std::int64_t kK = 4;
+  const auto n = static_cast<std::int64_t>(x.size());
+  const std::vector<std::int8_t> a(kK, 0);
+  const std::vector<std::int8_t> b_t(x.size() * kK, 0);
+  const QGemmPackedB packed(kernel, b_t.data(), n, kK);
+  std::vector<float> c(x.size());
+  QGemmEpilogue ep;
+  ep.bias_n = x.data();
+  ep.act = QGemmEpilogue::Act::kGelu;
+  qgemm_prepacked_dequant(a.data(), packed, c.data(), 1, ep);
+  return c;
+}
+
+/// 10⁶ evenly spaced points in [-10, 10], then ±0, denormals, the
+/// smallest normals, ±FLT_MAX and NaN.
+std::vector<float> gelu_sweep_points() {
+  constexpr int kPoints = 1000000;
+  std::vector<float> x;
+  x.reserve(kPoints + 16);
+  for (int i = 0; i < kPoints; ++i) {
+    x.push_back(static_cast<float>(-10.0 + 20.0 * i / (kPoints - 1)));
+  }
+  for (const float s : {0.0f, FLT_TRUE_MIN, 1e-40f, FLT_MIN, FLT_MAX}) {
+    x.push_back(s);
+    x.push_back(-s);
+  }
+  x.push_back(std::nanf(""));
+  return x;
+}
+
+/// Worst |got - gelu_ref| / max(1, |ref|) over finite x; fails on a NaN
+/// from a finite x or a number from a NaN.
+double worst_gelu_error(const std::vector<float>& x,
+                        const std::vector<float>& got) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << "NaN in, " << got[i] << " out";
+      continue;
+    }
+    EXPECT_FALSE(std::isnan(got[i])) << "x=" << x[i];
+    const double want = gelu_ref(x[i]);
+    worst = std::max(worst, std::fabs(static_cast<double>(got[i]) - want) /
+                                std::max(1.0, std::fabs(want)));
+  }
+  return worst;
+}
+
+TEST(Gelu, EveryEpilogueIsWithin2e6OfDoubleReference) {
+  const std::vector<float> x = gelu_sweep_points();
+  for (const GemmKernel& kernel : gemm_kernels()) {
+    EXPECT_LE(worst_gelu_error(x, fp32_epilogue_gelu(kernel, x)), 2e-6)
+        << "fp32 " << kernel.name;
+  }
+  for (const QGemmKernel& kernel : qgemm_kernels()) {
+    EXPECT_LE(worst_gelu_error(x, int8_epilogue_gelu(kernel, x)), 2e-6)
+        << "int8 " << kernel.name;
+  }
+}
+
+TEST(Gelu, Fp32AndInt8EpiloguesRoundAlike) {
+  // The dispatched entries of both tables share an ISA class (both use
+  // FMA, or neither does), so the one body gives the same bits.
+  const std::vector<float> x = gelu_sweep_points();
+  const auto fp32 = fp32_epilogue_gelu(gemm_kernels().front(), x);
+  const auto int8 = int8_epilogue_gelu(qgemm_kernels().front(), x);
+  EXPECT_TRUE(bit_equal(fp32.data(), int8.data(), x.size()))
+      << gemm_kernels().front().name << " vs " << qgemm_kernels().front().name;
+}
+
+TEST(Gelu, ColumnBitsDoNotDependOnTailPosition) {
+  // At n = 40, columns 32..39 sit in an N % NR tail (NR is 16 or 32);
+  // at n = 64 they sit in full tiles. The first 40 columns of both
+  // calls share A, B and the bias, so they must match bitwise.
+  constexpr int kM = 9, kK = 70, kNarrow = 40, kWide = 64;
+  const auto a = random_vec(kM * kK, 301);
+  const auto b_wide = random_vec(kK * kWide, 302);
+  const auto bias = random_vec(kWide, 303);
+  std::vector<float> b_narrow(kK * kNarrow);
+  for (int p = 0; p < kK; ++p) {
+    std::copy(b_wide.begin() + p * kWide, b_wide.begin() + p * kWide + kNarrow,
+              b_narrow.begin() + p * kNarrow);
+  }
+  GemmEpilogue ep;
+  ep.bias_n = bias.data();
+  ep.act = EpilogueAct::kGelu;
+  for (const GemmKernel& kernel : gemm_kernels()) {
+    for (const GemmEntry entry : kAllEntries) {
+      const auto wide = run_entry(kernel, entry, a.data(), b_wide, kM, kWide,
+                                  kK, false, nullptr, ep);
+      const auto narrow = run_entry(kernel, entry, a.data(), b_narrow, kM,
+                                    kNarrow, kK, false, nullptr, ep);
+      for (int i = 0; i < kM; ++i) {
+        EXPECT_TRUE(bit_equal(narrow.data() + i * kNarrow,
+                              wide.data() + i * kWide, kNarrow))
+            << "fp32 " << kernel.name << " " << entry_name(entry)
+            << " row=" << i;
+      }
+    }
+  }
+
+  core::Rng rng(304);
+  std::vector<std::int8_t> qa(kM * kK), qb(kWide * kK);
+  for (auto& v : qa) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  for (auto& v : qb) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  std::vector<float> scale_m(kM), scale_n(kWide);
+  for (float& s : scale_m) s = rng.next_float() * 0.01f + 1e-4f;
+  for (float& s : scale_n) s = rng.next_float() * 0.01f + 1e-4f;
+  QGemmEpilogue qep;
+  qep.scale_m = scale_m.data();
+  qep.scale_n = scale_n.data();
+  qep.bias_n = bias.data();
+  qep.act = QGemmEpilogue::Act::kGelu;
+  for (const QGemmKernel& kernel : qgemm_kernels()) {
+    std::vector<float> wide(kM * kWide), narrow(kM * kNarrow);
+    // Bᵀ is [n, k]: the narrow operand is the wide one's first 40 rows.
+    qgemm_prepacked_dequant(qa.data(),
+                            QGemmPackedB(kernel, qb.data(), kWide, kK),
+                            wide.data(), kM, qep);
+    qgemm_prepacked_dequant(qa.data(),
+                            QGemmPackedB(kernel, qb.data(), kNarrow, kK),
+                            narrow.data(), kM, qep);
+    for (int i = 0; i < kM; ++i) {
+      EXPECT_TRUE(bit_equal(narrow.data() + i * kNarrow,
+                            wide.data() + i * kWide, kNarrow))
+          << "int8 " << kernel.name << " row=" << i;
+    }
+  }
+}
+
 // ------------------------------------------------------------ activations
 
 TEST(Activations, ReluClampsNegatives) {
@@ -498,8 +659,8 @@ TEST(Activations, ReluClampsNegatives) {
 }
 
 TEST(Activations, GeluKnownValues) {
-  std::vector<float> x = {0.0f, 1.0f, -1.0f, 3.0f};
-  gelu_inplace(x.data(), 4);
+  const std::vector<float> x =
+      fp32_epilogue_gelu(gemm_kernels().front(), {0.0f, 1.0f, -1.0f, 3.0f});
   EXPECT_NEAR(x[0], 0.0f, 1e-6f);
   EXPECT_NEAR(x[1], 0.841345f, 1e-4f);
   EXPECT_NEAR(x[2], -0.158655f, 1e-4f);
